@@ -149,13 +149,7 @@ func main() {
 		sweepSizes = []int{2, 4}
 	}
 
-	// Workload pins; the first one doubles as the engine-throughput run.
-	pins := []exp.Run{
-		{Bench: exp.Ocean, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 16},
-		{Bench: exp.Ocean, Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: 16},
-		{Bench: exp.Water, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 16},
-		{Bench: exp.Water, Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: 16},
-	}
+	pins := pinnedRuns()
 	b.EngineRun = pins[0].Key()
 	for _, r := range pins {
 		w, err := timeRun(r, pinScale)
@@ -242,6 +236,17 @@ func main() {
 	}
 	if err := stopProf(); err != nil {
 		fatal(err)
+	}
+}
+
+// pinnedRuns is the workload pin set; the first one doubles as the
+// engine-throughput run.
+func pinnedRuns() []exp.Run {
+	return []exp.Run{
+		{Bench: exp.Ocean, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 16},
+		{Bench: exp.Ocean, Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: 16},
+		{Bench: exp.Water, Protocol: coherence.WTI, Arch: mem.Arch2, NumCPUs: 16},
+		{Bench: exp.Water, Protocol: coherence.WBMESI, Arch: mem.Arch2, NumCPUs: 16},
 	}
 }
 

@@ -2,7 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/exp"
 )
 
 func TestRejectPositional(t *testing.T) {
@@ -46,5 +50,42 @@ func TestSchemaV3Dedup(t *testing.T) {
 	}
 	if v, _ := doc["schema_version"].(float64); int(v) != 3 {
 		t.Errorf("schema_version = %v, want 3", doc["schema_version"])
+	}
+}
+
+// TestSleepHalvesEngineTicks pins the sleep/wake kernel's work saving
+// on the engine-throughput pin (16-CPU ocean/WTI at full scale):
+// executed component ticks per simulated cycle must be at most half of
+// the stepped (-nosleep) count, with an identical Result. Tick counts
+// are deterministic, so this gate holds exactly on every host.
+func TestSleepHalvesEngineTicks(t *testing.T) {
+	r := pinnedRuns()[0]
+	run := func(disableSleep bool) (*core.Result, float64) {
+		spec, err := exp.BuildSpec(r, exp.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig(r.Protocol, r.Arch, r.NumCPUs)
+		cfg.DisableSleep = disableSleep
+		sys, err := core.Build(cfg, spec.Image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatalf("%s (sleep=%t): %v", r.Key(), !disableSleep, err)
+		}
+		return res, float64(sys.Engine.Ticks()) / float64(sys.Engine.Now())
+	}
+	stepped, steppedRate := run(true)
+	sleeping, sleepingRate := run(false)
+	t.Logf("%s: %.2f component ticks per cycle stepped, %.2f sleeping", r.Key(), steppedRate, sleepingRate)
+	stepped.Config.DisableSleep = false
+	if !reflect.DeepEqual(stepped, sleeping) {
+		t.Errorf("results differ:\nstepped:  %+v\nsleeping: %+v", stepped, sleeping)
+	}
+	if sleepingRate > steppedRate/2 {
+		t.Errorf("sleeping executes %.2f ticks per cycle, more than half of stepped %.2f",
+			sleepingRate, steppedRate)
 	}
 }

@@ -72,7 +72,7 @@ func main() {
 	lurows := flag.Int("lurows", 3, "lu: matrix rows per processor")
 	faultSpec := flag.String("fault", "", "seeded NoC fault campaign, e.g. drop=1e-4,delay=1e-3:8,seed=42 (empty = no faults)")
 	shards := flag.Int("shards", 1, "compute-phase worker goroutines for this run (sharded BSP engine; results are byte-identical for every value)")
-	noleap := flag.Bool("noleap", false, "step every cycle instead of leaping over dead ones (results are byte-identical either way; for timing comparisons)")
+	nosleep := flag.Bool("nosleep", false, "tick every component every cycle instead of letting idle ones sleep (results are byte-identical either way; for timing comparisons)")
 	resInterval := flag.Duration("resources", 0, "sample host-process resources (heap, GC, RSS) every interval, e.g. 25ms (0 = off)")
 	resCSV := flag.String("resources-csv", "", "write the resource sample series as CSV (needs -resources)")
 	profCfg := prof.RegisterFlags()
@@ -153,7 +153,7 @@ func main() {
 		log.Fatal("-trace requires -shards 1: the protocol event log is inherently serial")
 	}
 	cfg.Shards = *shards
-	cfg.DisableLeap = *noleap
+	cfg.DisableSleep = *nosleep
 	if *faultSpec != "" {
 		plan, err := fault.ParsePlan(*faultSpec)
 		if err != nil {
@@ -283,13 +283,12 @@ func main() {
 	fmt.Printf("instruction cache: %d fetches, %d misses\n", res.IFetches, res.IMisses)
 	fmt.Printf("NoC: %d packets, %d flits, inject stalls %d\n",
 		res.Net.Packets, res.Net.TotalFlits, res.Net.InjectStallCycles)
-	// Host-side diagnostics, not part of the deterministic result: how
-	// much of the run the event-wheel leaper skipped (EXPERIMENTS.md has
-	// the worked example).
-	if leaps := sys.Engine.Leaps(); leaps > 0 && res.Cycles > 0 {
-		leaped := sys.Engine.LeapedCycles()
-		fmt.Fprintf(os.Stderr, "engine: %d leaps skipped %d of %d cycles (%.1f%%)\n",
-			leaps, leaped, res.Cycles, 100*float64(leaped)/float64(res.Cycles))
+	// Engine diagnostics, not part of the result: how many component
+	// ticks the run executed per simulated cycle, drain included
+	// (EXPERIMENTS.md has the worked example; -nosleep is the baseline).
+	if cycles := sys.Engine.Now(); cycles > 0 {
+		fmt.Fprintf(os.Stderr, "engine: %.2f component ticks per cycle (%d ticks over %d cycles)\n",
+			float64(sys.Engine.Ticks())/float64(cycles), sys.Engine.Ticks(), cycles)
 	}
 
 	if res.Latency != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // ICache is the read-only instruction cache. Code is never written by
@@ -22,6 +23,10 @@ type ICache struct {
 	pendActive bool
 	pendIssued bool
 	pendAddr   uint32
+
+	// self is the cache's sleep/wake handle (inert outside a sleeping
+	// engine).
+	self sim.Handle
 
 	// Stats.
 	Fetches uint64
@@ -59,8 +64,17 @@ func (c *ICache) Fetch(now uint64, addr uint32) (uint32, bool) {
 	return 0, false
 }
 
+// SetHandle wires the cache's sleep/wake handle.
+func (c *ICache) SetHandle(h sim.Handle) { c.self = h }
+
+// tryIssue puts the pending refill on the wire, or — when the port
+// refuses it — keeps the cache awake to retry next cycle.
 func (c *ICache) tryIssue(now uint64) {
-	if !c.pendActive || c.pendIssued || !c.node.CanSendReq() {
+	if !c.pendActive || c.pendIssued {
+		return
+	}
+	if !c.node.CanSendReq() {
+		c.self.Wake()
 		return
 	}
 	m := c.node.NewMsg()
@@ -72,17 +86,18 @@ func (c *ICache) tryIssue(now uint64) {
 	}
 }
 
-// Tick retries an unsent refill request.
-func (c *ICache) Tick(now uint64) { c.tryIssue(now) }
+// Tick retries an unsent refill request, and sleeps once none is left:
+// only a new miss (Fetch) gives it work again.
+func (c *ICache) Tick(now uint64) {
+	c.tryIssue(now)
+	if !c.pendActive || c.pendIssued {
+		c.self.Sleep(sim.NoWake)
+	}
+}
 
-// TickIdle reports whether Tick is a strict no-op until protocol state
-// changes: an unissued refill retries (and charges send-stall counters)
-// every cycle. Pure; the system-level leaper consults it.
-func (c *ICache) TickIdle(uint64) bool { return !c.pendActive || c.pendIssued }
-
-// SkipFetchHits account-compensates k leaped cycles of a data-stalled
-// CPU: each stalled retry re-fetches the current instruction, which
-// hits and counts.
+// SkipFetchHits charges k skipped cycles of a data-stalled CPU: each
+// stalled retry re-fetches the current instruction, which hits and
+// counts.
 func (c *ICache) SkipFetchHits(k uint64) { c.Fetches += k }
 
 // HandleMsg processes the refill response.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // MESICache is the write-back MESI (Illinois-like) data-cache
@@ -32,6 +33,10 @@ type MESICache struct {
 	// Obs, when attached, records blocking-transaction and writeback
 	// spans plus request latencies.
 	Obs *obs.Recorder
+
+	// self is the cache's sleep/wake handle (inert outside a sleeping
+	// engine).
+	self sim.Handle
 }
 
 type mesiPending struct {
@@ -151,8 +156,17 @@ func (c *MESICache) completePend(now uint64, addr uint32) {
 	c.Obs.Lat(k, now-c.pend.begin)
 }
 
+// SetHandle wires the cache's sleep/wake handle.
+func (c *MESICache) SetHandle(h sim.Handle) { c.self = h }
+
+// tryIssue puts the pending request on the wire, or — when the port
+// refuses it — keeps the cache awake to retry next cycle.
 func (c *MESICache) tryIssue(now uint64) {
-	if !c.pend.active || c.pend.issued || !c.node.CanSendReq() {
+	if !c.pend.active || c.pend.issued {
+		return
+	}
+	if !c.node.CanSendReq() {
+		c.self.Wake()
 		return
 	}
 	m := c.node.NewMsg()
@@ -286,15 +300,16 @@ func (c *MESICache) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool)
 	return 0, false
 }
 
-// Tick implements DataCache.
-func (c *MESICache) Tick(now uint64) { c.tryIssue(now) }
-
-// TickIdle reports whether Tick is a strict no-op until protocol state
-// changes: an unissued pending request retries (and charges send-stall
-// counters) every cycle; an active eviction is passive — its writeback
-// already sits in the node's outbound queue. Pure; the system-level
-// leaper consults it.
-func (c *MESICache) TickIdle(uint64) bool { return !c.pend.active || c.pend.issued }
+// Tick implements DataCache: it retries an unissued request and sleeps
+// once none is left. An active eviction is passive — its writeback
+// already sits in the node's outbound queue — so only a new
+// transaction the port refuses (tryIssue) gives the cache work again.
+func (c *MESICache) Tick(now uint64) {
+	c.tryIssue(now)
+	if !c.pend.active || c.pend.issued {
+		c.self.Sleep(sim.NoWake)
+	}
+}
 
 // completeWrite applies the deferred store/swap to the (now exclusive)
 // line and marks the transaction done.

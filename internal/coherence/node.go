@@ -39,12 +39,11 @@ type Node struct {
 	outQ *sim.Port[outMsg]
 	pool msgPool
 
-	// recvVeto is the first cycle after the most recent consumed
-	// delivery. That cycle must execute (the CPU ticks before RecvPhase
-	// sees a fill, so its reaction to the delivery happens one cycle
-	// later) — NextWake refuses to leap over it. Monotonic; stale values
-	// below the current cycle are inert.
-	recvVeto uint64
+	// Sleep/wake handles (inert when the node is not registered with a
+	// sleeping engine): self is the node's own, woken by every enqueue
+	// and by arrivals; owner is the CPU this node serves, woken by every
+	// consumed delivery; net is the NoC's, woken by every injection.
+	self, owner, netH sim.Handle
 
 	// ReqBound is the admission bound for request-class messages.
 	ReqBound int
@@ -95,6 +94,17 @@ func NewNode(id int, net noc.Network, sink Sink) *Node {
 	return n
 }
 
+// SetHandles wires the node's sleep/wake handles: its own, its owner
+// CPU's (zero for bank nodes), and the network ticker's.
+func (n *Node) SetHandles(self, owner, net sim.Handle) {
+	n.self, n.owner, n.netH = self, owner, net
+}
+
+// WakeOwner wakes the CPU this node serves. A cache calls it when it
+// may have unblocked its CPU without a delivery (a write-buffer entry
+// leaving for the network).
+func (n *Node) WakeOwner() { n.owner.Wake() }
+
 // RetryErr reports the latched liveness failure (nil while the port is
 // within budget); the engine watchdog polls it each cycle.
 func (n *Node) RetryErr() error { return n.retryErr }
@@ -112,6 +122,7 @@ func (n *Node) NewMsg() *Msg { return n.pool.get() }
 // not injectable before cycle notBefore.
 func (n *Node) SendCtrl(m *Msg, dst int, notBefore uint64) {
 	n.outQ.Send(outMsg{dst: dst, msg: m}, notBefore)
+	n.self.Wake()
 }
 
 // TrySendReq enqueues a request-class message if the outbound queue is
@@ -122,6 +133,7 @@ func (n *Node) TrySendReq(m *Msg, dst int, notBefore uint64) bool {
 		return false
 	}
 	n.outQ.Send(outMsg{dst: dst, msg: m}, notBefore)
+	n.self.Wake()
 	return true
 }
 
@@ -141,15 +153,45 @@ func (n *Node) CanSendReq() bool {
 // OutQueueLen reports the pending outbound messages (diagnostics).
 func (n *Node) OutQueueLen() int { return n.outQ.Len() }
 
-// Tick delivers arrived messages to the sink and drains the outbound
-// queue into the network. It is RecvPhase followed by SendPhase — the
-// serial schedule; the sharded schedule calls the phases separately
-// (receive during the parallel compute phase, send during the serial
-// commit phase) and relies on the split below keeping each phase's
-// behaviour bit-identical to its half of Tick.
+// Tick delivers arrived messages to the sink, drains the outbound
+// queue into the network, and sleeps when nothing is left to do before
+// a known cycle. It is RecvPhase followed by SendPhase — the serial
+// schedule; the sharded schedule calls the phases separately (receive
+// during the parallel compute phase, send during the serial commit
+// phase) and relies on the split below keeping each phase's behaviour
+// bit-identical to its half of Tick.
 func (n *Node) Tick(now uint64) {
 	n.RecvPhase(now)
 	n.SendPhase(now)
+	n.settle(now)
+}
+
+// settle puts the node to sleep until the next cycle its Tick can act:
+// the head of its outbound queue coming due, or the head of its
+// arrival queue becoming deliverable. Enqueues and new arrivals wake
+// it earlier. A ready head that is still queued (refused by the
+// network, or held by retry backoff) and a delivery the sink refused
+// keep it awake, because those retries advance per-cycle counters.
+// Under a fault plan the node stays awake while anything is in flight:
+// stall windows and duplicates make arrival times unreliable.
+func (n *Node) settle(now uint64) {
+	if n.drops != nil && !n.net.Quiet() {
+		return
+	}
+	until := sim.NoWake
+	if at, ok := n.outQ.NextAt(); ok {
+		if at <= now {
+			return
+		}
+		until = at
+	}
+	if at, ok := n.net.NextArrival(n.ID); ok {
+		if at <= now {
+			return
+		}
+		until = min(until, at)
+	}
+	n.self.Sleep(until)
 }
 
 // RecvPhase delivers arrived messages to the sink. It is the node's
@@ -180,45 +222,10 @@ func (n *Node) RecvPhase(now uint64) {
 		n.sink.HandleMsg(msg, now)
 		// HandleMsg never retains the pointer (the pool's ownership
 		// contract), so the message recycles into this node's free list.
-		// The consumption also pins the next cycle live: whatever the
-		// handler unblocked acts then, not now.
+		// Whatever the handler unblocked in the CPU acts at its next
+		// slot, the following cycle.
 		n.pool.put(msg)
-		n.recvVeto = now + 1
-	}
-}
-
-// NextWake reports the earliest cycle at or after cur at which this
-// node can act (sim.Leaper protocol, consulted by the system-level
-// leaper). cur is the next cycle to execute. A queued send that is
-// ready — or only backing off — wakes at its injection attempt; a
-// just-consumed delivery pins cur itself. Must be pure: Peek has side
-// ordering effects, so the port's NextAt is used instead.
-func (n *Node) NextWake(cur uint64) uint64 {
-	if n.recvVeto >= cur {
-		return cur
-	}
-	at, ok := n.outQ.NextAt()
-	if !ok {
-		return ^uint64(0)
-	}
-	if at > cur {
-		return at
-	}
-	if n.attempts > 0 && n.nextTry > cur {
-		return n.nextTry
-	}
-	// Head is ready to offer: the injection attempt itself is an event
-	// (a refused Inject charges the network's stall counter every
-	// cycle), so the node vetoes leaping.
-	return cur
-}
-
-// LeapSkip account-compensates a leap over cycles [cur, target): the
-// only per-cycle counter a provably-dead node cycle advances is the
-// backoff wait of a ready head held by the retry FSM.
-func (n *Node) LeapSkip(cur, target uint64) {
-	if at, ok := n.outQ.NextAt(); ok && at <= cur && n.attempts > 0 && n.nextTry > cur {
-		n.BackoffCycles += target - cur
+		n.owner.Wake()
 	}
 }
 
@@ -265,6 +272,7 @@ func (n *Node) SendPhase(now uint64) {
 		if n.Obs != nil {
 			n.Obs.Instant(obs.PortPid(n.ID), 0, head.msg.Kind.String(), now, head.msg.Addr)
 		}
+		n.netH.Wake()
 		n.MsgsSent++
 		n.outQ.Recv(now)
 	}
@@ -291,10 +299,3 @@ func (n *Node) transferLost(head outMsg, now uint64) {
 
 // Idle reports whether the node has nothing left to send.
 func (n *Node) Idle() bool { return n.outQ.Empty() }
-
-// Quiescent reports whether Tick(now) would be a strict no-op: nothing
-// queued to send and nothing arriving from the network this cycle. It
-// is the engine-facing idle predicate (sim.Idler contract).
-func (n *Node) Quiescent(now uint64) bool {
-	return n.outQ.Empty() && !n.net.Deliverable(n.ID, now)
-}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/sim"
 )
 
 // recordSink collects delivered messages. It copies them: the node
@@ -90,40 +91,49 @@ func TestNodeCanSendReqMatchesTrySendReq(t *testing.T) {
 }
 
 func TestNodeQuiescent(t *testing.T) {
+	// A quiescent node sleeps: fresh nodes sleep after their first
+	// tick, an enqueue wakes the sender, the arrival hook wakes the
+	// receiver exactly when the packet becomes deliverable, and both
+	// sleep again once drained — leaving only the always-awake network
+	// ticker running.
 	net := noc.NewGMN(noc.GMNConfig{Nodes: 2, Delay: 1, FIFODepth: 8, SrcDepth: 4})
 	sink := &recordSink{accept: true}
 	n0 := NewNode(0, net, sink)
 	n1 := NewNode(1, net, sink)
-	if !n0.Quiescent(0) || !n1.Quiescent(0) {
-		t.Fatal("fresh nodes not quiescent")
+	e := sim.NewEngine()
+	h0 := e.RegisterSleeper("n0", n0)
+	h1 := e.RegisterSleeper("n1", n1)
+	e.Register("net", sim.TickFunc(net.Tick))
+	n0.SetHandles(h0, sim.Handle{}, sim.Handle{})
+	n1.SetHandles(h1, sim.Handle{}, sim.Handle{})
+	var readyAt uint64
+	net.OnArrival(func(node int, at uint64) {
+		readyAt = at
+		[]sim.Handle{h0, h1}[node].WakeAt(at)
+	})
+	e.Step()
+	e.Step()
+	if e.Ticks() != 3+1 {
+		t.Fatalf("fresh nodes still ticking: %d ticks over 2 cycles", e.Ticks())
 	}
-	n0.SendCtrl(&Msg{Kind: RspWriteAck}, 1, 0)
-	if n0.Quiescent(0) {
-		t.Fatal("node with queued output reported quiescent")
+	n0.SendCtrl(&Msg{Kind: RspWriteAck}, 1, e.Now())
+	for len(sink.msgs) == 0 && e.Now() < 30 {
+		e.Step()
 	}
-	var arrived uint64
-	for cyc := uint64(0); cyc < 20; cyc++ {
-		if net.Deliverable(1, cyc) {
-			arrived = cyc
-			break
-		}
-		n0.Tick(cyc)
-		net.Tick(cyc)
+	if len(sink.msgs) != 1 || e.Now() != readyAt+1 {
+		t.Fatalf("delivered %d messages by cycle %d; want 1, at cycle %d", len(sink.msgs), e.Now()-1, readyAt)
 	}
-	if arrived == 0 {
-		t.Fatal("packet never arrived")
+	// Cycle 2: n0 sends; cycle readyAt: n1 receives. Nothing else.
+	before := e.Ticks()
+	cycles := e.Now()
+	if want := uint64(4 + 1 + 1 + (cycles - 2)); before != want {
+		t.Fatalf("%d ticks by cycle %d; want %d", before, cycles, want)
 	}
-	// The receiver has nothing queued, but a deliverable packet means
-	// its tick is not a no-op: it must not report quiescent.
-	if n1.Quiescent(arrived) {
-		t.Fatal("node with a deliverable packet reported quiescent")
+	for i := 0; i < 20; i++ {
+		e.Step()
 	}
-	n1.Tick(arrived)
-	if len(sink.msgs) != 1 {
-		t.Fatal("packet not delivered")
-	}
-	if !n0.Quiescent(arrived) || !n1.Quiescent(arrived) {
-		t.Fatal("drained nodes not quiescent")
+	if e.Ticks()-before != 20 {
+		t.Fatalf("drained nodes kept ticking: %d ticks over 20 cycles", e.Ticks()-before)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // WTICache is the write-through data-cache controller: a direct-mapped,
@@ -48,17 +49,13 @@ type WTICache struct {
 	strictDone  bool
 
 	// lastStoreFull records that the most recent Store attempt was
-	// rejected on a full write buffer: the exact stall SkipStallCycles
-	// compensates when the engine leaps over the retry cycles.
+	// rejected on a full write buffer: the stall SkipStallCycles
+	// charges for the retries a sleeping CPU skips.
 	lastStoreFull bool
 
-	// sendVeto is the first cycle after the most recent write-buffer
-	// departure (entry handed to the outbound FIFO). That cycle must
-	// execute: a data-stalled load blocked on HasUnsentInBlock may be
-	// unblocked by the departure, and the CPU's retry acts one cycle
-	// after it — the send-side analogue of Node.recvVeto. Monotonic;
-	// stale values below the current cycle are inert.
-	sendVeto uint64
+	// self is the cache's sleep/wake handle (inert outside a sleeping
+	// engine).
+	self sim.Handle
 }
 
 type wtiPending struct {
@@ -179,6 +176,7 @@ func (c *WTICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) boo
 		if !c.wb.Push(now, waddr, word, byteEn) {
 			return false
 		}
+		c.self.Wake()
 		c.recordStore(addr, waddr, word, byteEn)
 		c.strictStore = true
 		return false // completes (returns true) only after the ack
@@ -188,6 +186,7 @@ func (c *WTICache) Store(now uint64, addr uint32, word uint32, byteEn uint8) boo
 		c.lastStoreFull = true
 		return false
 	}
+	c.self.Wake()
 	c.recordStore(addr, waddr, word, byteEn)
 	c.Obs.Lat(obs.LatWriteHit, 0)
 	return true
@@ -239,12 +238,19 @@ func (c *WTICache) Swap(now uint64, addr uint32, newWord uint32) (uint32, bool) 
 	return 0, false
 }
 
+// SetHandle wires the cache's sleep/wake handle.
+func (c *WTICache) SetHandle(h sim.Handle) { c.self = h }
+
 // tryIssue attempts to place the pending miss or swap on the wire. The
 // admission pre-check keeps backpressured retry cycles (which recur
-// every cycle until the queue drains) from allocating a message that
-// would only be rejected.
+// every cycle until the queue drains, with the cache kept awake) from
+// allocating a message that would only be rejected.
 func (c *WTICache) tryIssue(now uint64) {
-	if !c.pend.active || c.pend.issued || !c.node.CanSendReq() {
+	if !c.pend.active || c.pend.issued {
+		return
+	}
+	if !c.node.CanSendReq() {
+		c.self.Wake()
 		return
 	}
 	m := c.node.NewMsg()
@@ -262,7 +268,11 @@ func (c *WTICache) tryIssue(now uint64) {
 }
 
 // Tick implements DataCache: retries unsent requests and drains the
-// write buffer (one write-through in flight at a time).
+// write buffer (one write-through in flight at a time). A departure
+// wakes the CPU — a load blocked on HasUnsentInBlock may now proceed,
+// at the CPU's next slot. With no unissued request and no entry ready
+// to depart the cache sleeps: a new store, a new miss the port refuses,
+// or a write acknowledgement gives it work again.
 func (c *WTICache) Tick(now uint64) {
 	c.tryIssue(now)
 	if e, ok := c.wb.NextToSend(); ok && c.node.CanSendReq() {
@@ -274,31 +284,20 @@ func (c *WTICache) Tick(now uint64) {
 		m.ByteEn = e.byteEn
 		if c.node.TrySendReq(m, c.bankNode(e.addr), now) {
 			e.sent = true
-			c.sendVeto = now + 1
+			c.node.WakeOwner()
 		}
 	}
-}
-
-// TickIdle reports whether the cache can prove every cycle from cur on
-// dead until protocol state changes: no unissued pending request (an
-// issue retry charges send-stall counters), no write-buffer entry ready
-// to depart, and no departure in the cycle just executed (sendVeto —
-// the CPU's stalled retry may react to it at cur). Pure; the
-// system-level leaper consults it.
-func (c *WTICache) TickIdle(cur uint64) bool {
-	if c.sendVeto >= cur {
-		return false
-	}
 	if c.pend.active && !c.pend.issued {
-		return false
+		return
 	}
-	_, ok := c.wb.NextToSend()
-	return !ok
+	if _, ok := c.wb.NextToSend(); !ok {
+		c.self.Sleep(sim.NoWake)
+	}
 }
 
-// SkipStallCycles account-compensates k leaped cycles during which the
-// CPU would have retried a store against a full write buffer: each
-// retry charges the cache's and the buffer's full-stall counters.
+// SkipStallCycles charges k skipped cycles during which a sleeping CPU
+// would have retried a store against a full write buffer: each retry
+// charges the cache's and the buffer's full-stall counters.
 func (c *WTICache) SkipStallCycles(k uint64) {
 	if c.lastStoreFull {
 		c.st.WBufFullStalls += k
@@ -323,6 +322,7 @@ func (c *WTICache) HandleMsg(m *Msg, now uint64) {
 		if !c.wb.Ack(now, m.Addr) {
 			panic(fmt.Sprintf("coherence: WTI cache %d: stray write ack %v", c.id, m))
 		}
+		c.self.Wake() // the next posted write may depart
 		if c.strictStore && c.wb.Empty() {
 			c.strictStore = false
 			c.strictDone = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // allocBudgetPerCycle is the committed steady-state allocation budget
-// for the pinned ocean/WTI run below, in heap allocations per executed
+// for the pinned ocean/WTI run below, in heap allocations per simulated
 // cycle. The Msg pool and the value-typed directory state put the
 // steady state at (close to) zero: after warm-up the only sanctioned
 // hot-path allocations are pool misses at a new in-flight high-water
@@ -25,18 +26,26 @@ const allocBudgetPerCycle = 0.01
 
 // TestSteadyStateAllocBudget pins the zero-alloc steady state on a
 // pinned ocean/WTI point: warm the system past its pool and queue
-// growth, then count heap allocations over a measured span of executed
-// cycles. Fails go test when the committed budget is exceeded.
+// growth, then count heap allocations over a measured span of cycles.
+// It runs stepped and sleeping (the wake wheel and the awake set must
+// not allocate either). Fails go test when the committed budget is
+// exceeded.
 func TestSteadyStateAllocBudget(t *testing.T) {
+	for _, disableSleep := range []bool{true, false} {
+		t.Run(fmt.Sprintf("sleep=%t", !disableSleep), func(t *testing.T) {
+			allocBudget(t, disableSleep)
+		})
+	}
+}
+
+func allocBudget(t *testing.T, disableSleep bool) {
 	spec, err := workload.BuildOcean(mem.DefaultLayout(4), codegen.DS,
 		workload.OceanParams{Threads: 4, RowsPerThread: 8, Iters: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(coherence.WTI, mem.Arch2, 4)
-	// Stepped execution: the budget is per executed cycle, and leaping
-	// would skew the denominator by skipping exactly the cheap cycles.
-	cfg.DisableLeap = true
+	cfg.DisableSleep = disableSleep
 	sys, err := Build(cfg, spec.Image)
 	if err != nil {
 		t.Fatal(err)

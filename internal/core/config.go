@@ -85,12 +85,13 @@ type Config struct {
 	// deliberately absent from Describe and the result JSON.
 	Shards int
 
-	// DisableLeap turns off the event-wheel cycle leaper (see
-	// System.NextWake): the engine then steps every cycle as before.
-	// Leaping is semantics-preserving — results are byte-identical
-	// either way — so the switch exists for equivalence tests and
-	// debugging, and is absent from Describe and the result JSON.
-	DisableLeap bool
+	// DisableSleep turns off per-component sleep/wake (see
+	// System.registerSleepers): the engine then ticks every component
+	// every cycle. Sleeping is semantics-preserving — results are
+	// byte-identical either way — so the switch exists for equivalence
+	// tests and timing A/Bs, and is absent from Describe and the result
+	// JSON.
+	DisableSleep bool
 }
 
 // DefaultConfig returns the paper's platform for n CPUs on the given

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/fault"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -30,33 +33,54 @@ func buildCounterSys(t *testing.T, cfg Config) *System {
 	return sys
 }
 
-// TestLeapEquivalence pins the Leaper contract at system level: a run
-// with the event-wheel leaper is byte-identical — full Result, not just
-// the cycle count — to the same run stepped cycle by cycle, across
-// every protocol, interconnect, and the fault-injection path.
+// TestLeapEquivalence is the stepped-vs-sleeping matrix at system
+// level: a run whose idle components sleep (and whose engine leaps
+// when nothing is awake) is byte-identical — full Result, not just the
+// cycle count — to the same run with every component ticked every
+// cycle, across every protocol and interconnect, clean and under a
+// fault campaign.
 func TestLeapEquivalence(t *testing.T) {
-	points := []struct {
+	type point struct {
 		name  string
 		proto coherence.Protocol
 		arch  mem.Arch
 		noc   NoCKind
 		fault string
+	}
+	protos := []struct {
+		name  string
+		proto coherence.Protocol
+		arch  mem.Arch
 	}{
-		{name: "wti/gmn", proto: coherence.WTI, arch: mem.Arch1},
-		{name: "wtu/gmn", proto: coherence.WTU, arch: mem.Arch2},
-		{name: "wb/gmn", proto: coherence.WBMESI, arch: mem.Arch2},
-		{name: "moesi/gmn", proto: coherence.MOESI, arch: mem.Arch2},
-		{name: "wti/mesh", proto: coherence.WTI, arch: mem.Arch1, noc: MeshNet},
-		{name: "wb/bus", proto: coherence.WBMESI, arch: mem.Arch1, noc: BusNet},
-		{name: "wti/fault", proto: coherence.WTI, arch: mem.Arch1,
-			fault: "drop=2e-3,delay=1e-3:6,seed=7"},
+		{"wti", coherence.WTI, mem.Arch1},
+		{"wtu", coherence.WTU, mem.Arch2},
+		{"wb", coherence.WBMESI, mem.Arch2},
+		{"moesi", coherence.MOESI, mem.Arch2},
+	}
+	nets := []struct {
+		name string
+		kind NoCKind
+	}{{"gmn", GMNNet}, {"mesh", MeshNet}, {"bus", BusNet}}
+	var points []point
+	for i, p := range protos {
+		for _, n := range nets {
+			points = append(points, point{name: p.name + "/" + n.name, proto: p.proto, arch: p.arch, noc: n.kind})
+		}
+		// One fault campaign per protocol, rotating the interconnect.
+		n := nets[i%len(nets)]
+		name := p.name + "/fault"
+		if n.kind != GMNNet {
+			name += "/" + n.name
+		}
+		points = append(points, point{name: name, proto: p.proto, arch: p.arch, noc: n.kind,
+			fault: "drop=2e-3,delay=1e-3:6,seed=7"})
 	}
 	for _, p := range points {
 		t.Run(p.name, func(t *testing.T) {
-			run := func(disableLeap bool) (*Result, uint64, uint64) {
+			run := func(disableSleep bool) (*Result, uint64) {
 				cfg := DefaultConfig(p.proto, p.arch, 2)
 				cfg.NoC = p.noc
-				cfg.DisableLeap = disableLeap
+				cfg.DisableSleep = disableSleep
 				if p.fault != "" {
 					plan, err := fault.ParsePlan(p.fault)
 					if err != nil {
@@ -67,65 +91,99 @@ func TestLeapEquivalence(t *testing.T) {
 				sys := buildCounterSys(t, cfg)
 				res, err := sys.Run()
 				if err != nil {
-					t.Fatalf("run (leap=%t): %v", !disableLeap, err)
+					t.Fatalf("run (sleep=%t): %v", !disableSleep, err)
 				}
-				return res, sys.Engine.Leaps(), sys.Engine.LeapedCycles()
+				return res, sys.Engine.Ticks()
 			}
-			stepped, _, _ := run(true)
-			leaped, leaps, leapedCycles := run(false)
-			// The configs differ only in the DisableLeap knob, which is
+			stepped, steppedTicks := run(true)
+			sleeping, sleepingTicks := run(false)
+			// The configs differ only in the DisableSleep knob, which is
 			// deliberately absent from results; blank it for the compare.
-			stepped.Config.DisableLeap = false
-			leaped.Config.DisableLeap = false
-			if !reflect.DeepEqual(stepped, leaped) {
-				t.Errorf("results differ:\nstepped: %+v\nleaped:  %+v", stepped, leaped)
+			stepped.Config.DisableSleep = false
+			if !reflect.DeepEqual(stepped, sleeping) {
+				t.Errorf("results differ:\nstepped:  %+v\nsleeping: %+v", stepped, sleeping)
 			}
-			if leaps == 0 || leapedCycles == 0 {
-				t.Errorf("leaper never leaped (leaps=%d cycles=%d) — the equivalence was vacuous", leaps, leapedCycles)
+			if sleepingTicks >= steppedTicks {
+				t.Errorf("nothing slept (%d ticks sleeping, %d stepped) — the equivalence was vacuous",
+					sleepingTicks, steppedTicks)
 			}
 		})
 	}
 }
 
-// TestLeapAccountingAcrossShards pins that the sharded BSP schedule
-// takes exactly the same leaps as the serial one: leap count, leaped
-// cycles, and the Result are invariant under -shards.
-func TestLeapAccountingAcrossShards(t *testing.T) {
-	run := func(shards int) (*Result, uint64, uint64) {
-		cfg := DefaultConfig(coherence.WTI, mem.Arch2, 4)
-		cfg.Shards = shards
+// TestTickCounterExposed pins the engine's executed-tick accounting
+// (the EXPERIMENTS worked example reads it): a stepped run ticks every
+// component every cycle, and a sleeping run of the same point ticks
+// strictly fewer over the same cycles.
+func TestTickCounterExposed(t *testing.T) {
+	run := func(disableSleep bool) (*System, uint64) {
+		cfg := DefaultConfig(coherence.WTI, mem.Arch1, 2)
+		cfg.DisableSleep = disableSleep
 		sys := buildCounterSys(t, cfg)
-		res, err := sys.Run()
-		if err != nil {
-			t.Fatalf("run (shards=%d): %v", shards, err)
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
 		}
-		return res, sys.Engine.Leaps(), sys.Engine.LeapedCycles()
+		return sys, sys.Engine.Ticks()
 	}
-	serialRes, serialLeaps, serialCycles := run(0)
-	shardRes, shardLeaps, shardCycles := run(4)
-	serialRes.Config.Shards = 0
-	shardRes.Config.Shards = 0
-	if !reflect.DeepEqual(serialRes, shardRes) {
-		t.Errorf("results differ across shards:\nserial:  %+v\nsharded: %+v", serialRes, shardRes)
+	stepped, steppedTicks := run(true)
+	// 2 CPUs × (CPU, D-cache, I-cache, node) + 1 bank node + the NoC.
+	components := uint64(4*2 + len(stepped.BNodes) + 1)
+	if steppedTicks != components*stepped.Engine.Now() {
+		t.Fatalf("stepped run executed %d ticks over %d cycles; want %d per cycle",
+			steppedTicks, stepped.Engine.Now(), components)
 	}
-	if serialLeaps != shardLeaps || serialCycles != shardCycles {
-		t.Errorf("leap accounting differs: serial %d leaps/%d cycles, sharded %d leaps/%d cycles",
-			serialLeaps, serialCycles, shardLeaps, shardCycles)
-	}
-	if serialLeaps == 0 {
-		t.Error("leaper never leaped — the invariance was vacuous")
+	sleeping, sleepingTicks := run(false)
+	if sleeping.Engine.Now() != stepped.Engine.Now() || sleepingTicks == 0 || sleepingTicks >= steppedTicks {
+		t.Fatalf("sleeping run: %d ticks over %d cycles; stepped %d over %d",
+			sleepingTicks, sleeping.Engine.Now(), steppedTicks, stepped.Engine.Now())
 	}
 }
 
-// TestLeapCounterExposed pins that the engine reports its leap
-// accounting (the EXPERIMENTS worked example reads these).
-func TestLeapCounterExposed(t *testing.T) {
-	sys := buildCounterSys(t, DefaultConfig(coherence.WTI, mem.Arch1, 2))
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	leaps, cycles := sys.Engine.Leaps(), sys.Engine.LeapedCycles()
-	if leaps == 0 || cycles < leaps {
-		t.Fatalf("leap accounting implausible: %d leaps, %d leaped cycles", leaps, cycles)
+// TestSleepObservedMatchesStepped extends the equivalence to the
+// observability layer: the interval-sample CSV, the Perfetto trace and
+// the latency report must be byte-identical with and without sleeping
+// — every sleeper is caught up before each sampling hook.
+func TestSleepObservedMatchesStepped(t *testing.T) {
+	for _, proto := range []coherence.Protocol{coherence.WTI, coherence.WBMESI} {
+		t.Run(proto.String(), func(t *testing.T) {
+			run := func(disableSleep bool) (csv, trace, lat string) {
+				spec, err := workload.BuildOcean(mem.DefaultLayout(4), codegen.DS,
+					workload.OceanParams{Threads: 4, RowsPerThread: 2, Iters: 2})
+				if err != nil {
+					t.Fatalf("build: %v", err)
+				}
+				cfg := DefaultConfig(proto, mem.Arch2, 4)
+				cfg.DisableSleep = disableSleep
+				sys, err := Build(cfg, spec.Image)
+				if err != nil {
+					t.Fatalf("wire: %v", err)
+				}
+				rec := obs.New(obs.Config{Trace: true, SampleInterval: 97})
+				sys.AttachObserver(rec)
+				res, err := sys.Run()
+				if err != nil {
+					t.Fatalf("run (sleep=%t): %v", !disableSleep, err)
+				}
+				var c, tr bytes.Buffer
+				if err := rec.Sampler().WriteCSV(&c); err != nil {
+					t.Fatal(err)
+				}
+				if err := rec.WriteTrace(&tr); err != nil {
+					t.Fatal(err)
+				}
+				return c.String(), tr.String(), fmt.Sprint(res.Latency)
+			}
+			csv1, trace1, lat1 := run(true)
+			csv2, trace2, lat2 := run(false)
+			if csv1 != csv2 {
+				t.Errorf("interval CSV diverged:\nstepped:\n%s\nsleeping:\n%s", csv1, csv2)
+			}
+			if trace1 != trace2 {
+				t.Errorf("Perfetto trace diverged (%d vs %d bytes)", len(trace1), len(trace2))
+			}
+			if lat1 != lat2 {
+				t.Errorf("latency report diverged:\nstepped:\n%s\nsleeping:\n%s", lat1, lat2)
+			}
+		})
 	}
 }

@@ -50,10 +50,6 @@ func (c *cluster) Commit(now uint64) { c.node.SendPhase(now) }
 
 // bankShard groups every memory bank: receive (directory work, memory
 // reads/writes) in the compute phase, response injection at commit.
-// Its idle predicate matches the serial schedule's "banks" group — the
-// value is identical at either evaluation point because nothing the
-// CPU side does within a cycle can change a bank's deliverable set or
-// outbound queue before the network's own tick.
 type bankShard struct {
 	nodes []*coherence.Node
 }
@@ -64,15 +60,6 @@ func (b *bankShard) Tick(now uint64) {
 	}
 }
 
-func (b *bankShard) Idle(now uint64) bool {
-	for _, nd := range b.nodes {
-		if !nd.Quiescent(now) {
-			return false
-		}
-	}
-	return true
-}
-
 func (b *bankShard) Commit(now uint64) {
 	for _, nd := range b.nodes {
 		nd.SendPhase(now)
@@ -81,8 +68,6 @@ func (b *bankShard) Commit(now uint64) {
 
 // nocShard advances the network in its commit slot — after every node
 // committed its sends, the position the serial schedule ticks it in.
-// CommitIdle reproduces the serial schedule's quiescence skip at the
-// same evaluation point (the engine polls it right before the commit).
 type nocShard struct {
 	net noc.Network
 }
@@ -90,8 +75,6 @@ type nocShard struct {
 func (nocShard) Tick(uint64) {}
 
 func (n nocShard) Commit(now uint64) { n.net.Tick(now) }
-
-func (n nocShard) CommitIdle(uint64) bool { return n.net.Quiet() }
 
 // registerSharded is Build's registration path for Config.Shards > 1.
 func (s *System) registerSharded() {

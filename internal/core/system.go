@@ -124,58 +124,17 @@ func Build(cfg Config, img *mem.Image) (*System, error) {
 	// Tick order: CPUs issue, caches retry pending work, CPU nodes
 	// move messages, bank nodes deliver/respond, then the network
 	// advances. All cross-component messages are latched, so this
-	// order is a convention, not a correctness requirement — but the
-	// grouped tickers below run the components in exactly the sequence
-	// the per-component registration used, so existing runs reproduce
-	// bit-identically. Grouping keeps the engine's dispatch loop at
-	// four slots regardless of the CPU count, and lets the bank and
-	// network groups register quiescence so fully idle cycles skip
-	// their ticks entirely.
+	// order is a convention, not a correctness requirement — but it
+	// fixes when a woken component first runs (see registerSleepers),
+	// so it is kept exactly.
 	//
 	// Shards > 1 selects the two-phase sharded registration instead
-	// (see shards.go); it produces byte-identical results — the serial
-	// grouping is kept verbatim for the default path so runs without
-	// -shards execute exactly the pre-shard code.
+	// (see shards.go), which steps every cluster every cycle and
+	// produces byte-identical results.
 	if cfg.Shards > 1 {
 		sys.registerSharded()
 	} else {
-		sys.Engine.Register("cpus", sim.TickFunc(func(now uint64) {
-			for _, c := range sys.CPUs {
-				c.Tick(now)
-			}
-		}))
-		sys.Engine.Register("caches", sim.TickFunc(func(now uint64) {
-			for i := range sys.DCaches {
-				sys.DCaches[i].Tick(now)
-				sys.ICaches[i].Tick(now)
-				sys.Nodes[i].Tick(now)
-			}
-		}))
-		sys.Engine.Register("banks", sim.TickerWithIdle(
-			func(now uint64) {
-				for _, nd := range sys.BNodes {
-					nd.Tick(now)
-				}
-			},
-			func(now uint64) bool {
-				for _, nd := range sys.BNodes {
-					if !nd.Quiescent(now) {
-						return false
-					}
-				}
-				return true
-			},
-		))
-		sys.Engine.Register("noc", sim.TickerWithIdle(
-			net.Tick,
-			func(now uint64) bool { return net.Quiet() },
-		))
-	}
-	// Event-wheel cycle leaping: the system is its own leaper (see
-	// leap.go). Semantics-preserving, so it is on for every schedule;
-	// DisableLeap exists for equivalence tests and debugging.
-	if !cfg.DisableLeap {
-		sys.Engine.SetLeaper(sys)
+		sys.registerSleepers()
 	}
 	// Liveness watchdog: under a fault plan, a port that burns through
 	// its retransmission budget aborts the run right away with a
@@ -196,6 +155,72 @@ func Build(cfg Config, img *mem.Image) (*System, error) {
 		})
 	}
 	return sys, nil
+}
+
+// registerSleepers is Build's default registration: one sleeper per
+// component, in the tick order above — every CPU, then each CPU's
+// D-cache, I-cache and node, then the bank nodes, then the network —
+// with each component's wakers wired to the handles of the components
+// it can unblock:
+//
+//   - a delivery into a CPU node wakes that CPU;
+//   - a write-buffer departure wakes the CPU (via its node);
+//   - an enqueue on a node, and a packet arriving for it, wake the node;
+//   - an injection wakes the network;
+//   - a cache wakes itself when it gains work (a posted store, a
+//     request the port refused, a write acknowledgement).
+//
+// Because the CPUs tick before the nodes, a CPU woken by a delivery or
+// a departure at cycle t runs at t+1 — the cycle a stepped CPU first
+// observes it. With Cfg.DisableSleep every handle is inert and every
+// component ticks every cycle.
+func (s *System) registerSleepers() {
+	e := s.Engine
+	if s.Cfg.DisableSleep {
+		e.DisableSleep()
+	}
+	n := len(s.CPUs)
+	cpuH := make([]sim.Handle, n)
+	for i, c := range s.CPUs {
+		cpuH[i] = e.RegisterSleeper(fmt.Sprintf("cpu%d", i), c)
+		c.SetHandle(cpuH[i])
+	}
+	nodeH := make([]sim.Handle, n+len(s.BNodes))
+	for i := range s.CPUs {
+		dc := s.DCaches[i]
+		h := e.RegisterSleeper(fmt.Sprintf("dcache%d", i), dc)
+		if hs, ok := dc.(interface{ SetHandle(sim.Handle) }); ok {
+			hs.SetHandle(h)
+		}
+		s.ICaches[i].SetHandle(e.RegisterSleeper(fmt.Sprintf("icache%d", i), s.ICaches[i]))
+		nodeH[i] = e.RegisterSleeper(fmt.Sprintf("node%d", i), s.Nodes[i])
+	}
+	for b, nd := range s.BNodes {
+		nodeH[n+b] = e.RegisterSleeper(fmt.Sprintf("bank%d", b), nd)
+	}
+	nt := &netTicker{net: s.Net}
+	nt.self = e.RegisterSleeper("noc", nt)
+	for i, nd := range s.Nodes {
+		nd.SetHandles(nodeH[i], cpuH[i], nt.self)
+	}
+	for b, nd := range s.BNodes {
+		nd.SetHandles(nodeH[n+b], sim.Handle{}, nt.self)
+	}
+	s.Net.OnArrival(func(node int, readyAt uint64) { nodeH[node].WakeAt(readyAt) })
+}
+
+// netTicker advances the network and sleeps while it is quiet (a quiet
+// network's Tick changes nothing); every injection wakes it.
+type netTicker struct {
+	net  noc.Network
+	self sim.Handle
+}
+
+func (t *netTicker) Tick(now uint64) {
+	t.net.Tick(now)
+	if t.net.Quiet() {
+		t.self.Sleep(sim.NoWake)
+	}
 }
 
 // AllHalted reports whether every CPU has executed HALT.

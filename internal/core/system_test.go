@@ -75,11 +75,10 @@ func TestCounterDeterminism(t *testing.T) {
 	}
 }
 
-// TestIdleTicksAreSkipped checks the quiescence wiring end to end: on a
-// real run, cycles in which the bank nodes or the network have no
-// pending work must be skipped by the engine (the runs above and the
-// byte-identical sweep output prove skipping changes no results; this
-// test proves the fast path actually engages).
+// TestIdleTicksAreSkipped checks the sleep/wake wiring end to end: on a
+// real run, components with no pending work must sleep through most
+// cycles (the stepped-vs-sleeping matrix proves sleeping changes no
+// results; this test proves it actually engages).
 func TestIdleTicksAreSkipped(t *testing.T) {
 	spec, err := buildQuickCounter(2)
 	if err != nil {
@@ -92,8 +91,9 @@ func TestIdleTicksAreSkipped(t *testing.T) {
 	if _, err := sys.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if sys.Engine.SkippedTicks() == 0 {
-		t.Fatal("no idle ticks skipped over a whole run")
+	components := uint64(len(sys.CPUs)*4 + len(sys.BNodes) + 1)
+	if ticks, all := sys.Engine.Ticks(), components*sys.Engine.Now(); ticks*2 > all {
+		t.Fatalf("%d of %d component ticks executed; idle components are not sleeping", ticks, all)
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
-// Per-tick outcomes, recorded for the event-wheel oracle. outcomeActive
-// (the zero value) means the core retired or attempted real work and
-// must execute every cycle; the others are stall states whose per-cycle
-// effect is exactly one counter bump, which LeapSkip can compensate.
+// Per-tick outcomes. outcomeActive (the zero value) means the core
+// retired or attempted real work and must execute every cycle; the
+// others are sleep states whose per-cycle effect is exactly one
+// counter bump, which CatchUp charges for the skipped cycles.
 const (
 	outcomeActive uint8 = iota
 	outcomeHalted
@@ -83,11 +84,17 @@ type CPU struct {
 	busyUntil uint64
 	halted    bool
 
-	// outcome records what the most recent Tick did — the core's
-	// contribution to the system event wheel (LeapWake/LeapSkip). It is
-	// updated at every Tick return point, so between cycles it always
-	// describes the core's current steady state.
+	// outcome records what the most recent Tick did. It is updated at
+	// every Tick return point, so while the core sleeps it describes
+	// the state every skipped cycle would have repeated.
 	outcome uint8
+
+	// self is the core's sleep/wake handle (inert outside a sleeping
+	// engine). fetchSkip and storeSkip are the caches' optional
+	// catch-up hooks for the retries a data-stalled core skips.
+	self      sim.Handle
+	fetchSkip interface{ SkipFetchHits(k uint64) }
+	storeSkip interface{ SkipStallCycles(k uint64) }
 
 	// One-entry decoded-instruction cache. isa.Decode is a pure
 	// function of the word, so reusing the previous decode is invisible
@@ -110,8 +117,16 @@ type CPU struct {
 
 // New builds a core wired to its caches.
 func New(id int, ic InstrPort, dc coherence.DataCache, fpu FPUTiming) *CPU {
-	return &CPU{ID: id, icache: ic, dcache: dc, fpu: fpu}
+	c := &CPU{ID: id, icache: ic, dcache: dc, fpu: fpu}
+	c.fetchSkip, _ = ic.(interface{ SkipFetchHits(k uint64) })
+	c.storeSkip, _ = dc.(interface{ SkipStallCycles(k uint64) })
+	return c
 }
+
+// SetHandle wires the core's sleep/wake handle. A sleeping core must
+// be woken by every event that can end its stall: a delivery into its
+// node and a write-buffer departure (see coherence.Node).
+func (c *CPU) SetHandle(h sim.Handle) { c.self = h }
 
 // Reset initializes the architectural state: entry PC, stack pointer,
 // and the id/count registers the runtime boot code relies on.
@@ -149,15 +164,19 @@ func (c *CPU) setReg(r uint8, v uint32) {
 	}
 }
 
-// Tick advances the core by one cycle.
+// Tick advances the core by one cycle. A halted or stalled core goes
+// to sleep: its retries are pure until a wake (or, for the FPU, until
+// the unit frees), so only their counters need charging (CatchUp).
 func (c *CPU) Tick(now uint64) {
 	if c.halted {
 		c.outcome = outcomeHalted
+		c.self.Sleep(sim.NoWake)
 		return
 	}
 	if c.busyUntil > now {
 		c.st.FPUBusyCycles++
 		c.outcome = outcomeFPU
+		c.self.Sleep(c.busyUntil)
 		return
 	}
 	word, ok := c.icache.Fetch(now, c.pc)
@@ -165,6 +184,7 @@ func (c *CPU) Tick(now uint64) {
 		c.st.InstStallCycles++
 		c.noteStall(now, 1)
 		c.outcome = outcomeInstStall
+		c.self.Sleep(sim.NoWake)
 		return
 	}
 	var in isa.Instr
@@ -184,6 +204,7 @@ func (c *CPU) Tick(now uint64) {
 			c.st.DataStallCycles++
 			c.noteStall(now, 2)
 			c.outcome = outcomeDataStall
+			c.self.Sleep(sim.NoWake)
 			return
 		}
 		c.retire(now, c.pc+4)
@@ -201,32 +222,14 @@ func (c *CPU) retire(now uint64, nextPC uint32) {
 	c.outcome = outcomeActive
 }
 
-// LeapWake reports the core's contribution to the system event wheel,
-// given cur = the next cycle to execute. An active core vetoes (returns
-// cur): it retires or attempts work every cycle. A halted or
-// cache-stalled core contributes no wake of its own — a stalled core is
-// woken by a message delivery, which the network's event already
-// covers. An FPU-busy core wakes itself when the unit frees.
-func (c *CPU) LeapWake(cur uint64) uint64 {
-	switch c.outcome {
-	case outcomeHalted, outcomeInstStall, outcomeDataStall:
-		return ^uint64(0)
-	case outcomeFPU:
-		if c.busyUntil > cur {
-			return c.busyUntil
-		}
-		return cur
-	default:
-		return cur
-	}
-}
-
-// LeapSkip applies the counter bumps that executing k more cycles in
-// the core's current stall state would have applied — the Leaper
-// compensation matching LeapWake. The stalled retry paths themselves
-// are pure (re-polling a pending miss or a full write buffer changes
-// no state), so the counters are the whole per-cycle effect.
-func (c *CPU) LeapSkip(k uint64) {
+// CatchUp implements sim.CatchUpper: it charges the counters that
+// ticking cycles [from, to) in the core's sleep state would have
+// advanced. A data-stalled retry also re-fetches (and re-hits) the
+// current instruction, and a store refused by a full write buffer
+// charges the buffer-full counters on every attempt; the retries are
+// otherwise pure, so the counters are the whole per-cycle effect.
+func (c *CPU) CatchUp(from, to uint64) {
+	k := to - from
 	switch c.outcome {
 	case outcomeFPU:
 		c.st.FPUBusyCycles += k
@@ -234,13 +237,14 @@ func (c *CPU) LeapSkip(k uint64) {
 		c.st.InstStallCycles += k
 	case outcomeDataStall:
 		c.st.DataStallCycles += k
+		if c.fetchSkip != nil {
+			c.fetchSkip.SkipFetchHits(k)
+		}
+		if c.storeSkip != nil {
+			c.storeSkip.SkipStallCycles(k)
+		}
 	}
 }
-
-// DataStalled reports whether the core's last cycle was a data-access
-// stall; the system leaper uses it to route the write-buffer-full
-// compensation to the data cache alongside LeapSkip.
-func (c *CPU) DataStalled() bool { return c.outcome == outcomeDataStall }
 
 // noteStall extends or begins the stall run of the given kind.
 func (c *CPU) noteStall(now uint64, kind uint8) {

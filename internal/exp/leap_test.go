@@ -1,13 +1,14 @@
 package exp
 
-// Leap-equivalence regression grid over real workloads. The water rows
-// are the ones that exposed the write-buffer-departure veto (a
+// Stepped-vs-sleeping regression grid over real workloads. The water
+// rows are the ones that exposed the write-buffer-departure waker (a
 // data-stalled load blocked on HasUnsentInBlock reacts one cycle after
 // the departing entry leaves for the network, with no message delivery
 // to wake it); internal/core's TestLeapEquivalence covers the
 // per-protocol/per-NoC matrix on the cheaper counter workload.
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/coherence"
@@ -16,7 +17,7 @@ import (
 	"repro/internal/mem"
 )
 
-func runPoint(t *testing.T, r Run, sc Scale, disableLeap bool) *core.Result {
+func runPoint(t *testing.T, r Run, sc Scale, disableSleep bool) *core.Result {
 	t.Helper()
 	spec, err := BuildSpec(r, sc)
 	if err != nil {
@@ -26,7 +27,7 @@ func runPoint(t *testing.T, r Run, sc Scale, disableLeap bool) *core.Result {
 	cfg.NoC = r.NoC
 	cfg.Mem.StrictSC = r.StrictSC
 	cfg.Mem.CacheToCache = r.C2C
-	cfg.DisableLeap = disableLeap
+	cfg.DisableSleep = disableSleep
 	cfg.MaxCycles = 3_000_000
 	if r.Fault != "" {
 		plan, err := fault.ParsePlan(r.Fault)
@@ -41,7 +42,7 @@ func runPoint(t *testing.T, r Run, sc Scale, disableLeap bool) *core.Result {
 	}
 	res, err := sys.Run()
 	if err != nil {
-		t.Fatalf("%s leap=%t: %v", r.Key(), !disableLeap, err)
+		t.Fatalf("%s sleep=%t: %v", r.Key(), !disableSleep, err)
 	}
 	return res
 }
@@ -61,11 +62,11 @@ func TestLeapEquivalenceWorkloads(t *testing.T) {
 	}
 	for _, r := range pts {
 		stepped := runPoint(t, r, sc, true)
-		leaped := runPoint(t, r, sc, false)
-		if stepped.Cycles != leaped.Cycles {
-			t.Errorf("%s: cycles stepped=%d leaped=%d (diff %d)",
-				r.Key(), stepped.Cycles, leaped.Cycles,
-				int64(leaped.Cycles)-int64(stepped.Cycles))
+		sleeping := runPoint(t, r, sc, false)
+		stepped.Config.DisableSleep = false
+		if !reflect.DeepEqual(stepped, sleeping) {
+			t.Errorf("%s: results differ (cycles stepped=%d sleeping=%d)",
+				r.Key(), stepped.Cycles, sleeping.Cycles)
 		}
 	}
 }

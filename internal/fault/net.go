@@ -45,13 +45,13 @@ type dupPayload struct {
 //   - every decision is drawn from splitmix64 streams derived from the
 //     plan seed, one independent stream per fault dimension, advanced
 //     only inside Inject and Tick — never inside the read-only
-//     Deliverable/Quiet/Stats queries, whose call counts may legally
-//     vary (the engine's quiescence skipping probes them);
+//     Deliverable/NextArrival/Quiet/Stats queries, whose call counts
+//     may legally vary (sleeping endpoints probe them);
 //   - delayed transfers are staged per source and released strictly in
 //     arrival order, so the per-(source,destination) FIFO guarantee of
 //     the wrapped model is preserved;
-//   - bank stall windows advance in Tick, so they can only open while
-//     the network ticker is live — a stall of an idle system would be
+//   - bank stall windows advance in Tick, and Tick does nothing while
+//     the network is quiet — a stall of an idle system would be
 //     unobservable anyway.
 //
 // Phase contract under the sharded BSP schedule (internal/sim): Inject
@@ -201,7 +201,13 @@ func (f *Net) TookDrop(src int) bool {
 
 // Tick implements noc.Network: advance bank stall windows, release
 // staged transfers whose delay elapsed, then tick the wrapped model.
+// Like every Network, a quiet wrapper's Tick changes nothing — no RNG
+// draw, no stall window — so whether a scheduler ticks a quiet network
+// or skips it cannot change a campaign.
 func (f *Net) Tick(now uint64) {
+	if f.Quiet() {
+		return
+	}
 	if len(f.plan.BankStall) > 0 {
 		for node := f.bankBase; node < len(f.stallUntil); node++ {
 			if f.stallUntil[node] > now {
@@ -272,16 +278,11 @@ func (f *Net) Deliver(node int, now uint64) (noc.Packet, bool) {
 // Quiet implements noc.Network: staged transfers count as in flight.
 func (f *Net) Quiet() bool { return f.stagedN == 0 && f.inner.Quiet() }
 
-// NextEvent implements noc.Network with the blanket veto: while
-// anything is in flight the fault layer may draw from its RNG streams
-// or advance stall windows on any Tick, so no cycle is provably dead.
-// Leaping therefore only happens in fault runs while the network is
-// completely quiet — which is also the only time the per-cycle fault
-// machinery is skippable (the engine idle-skips the NoC ticker then,
-// so no RNG draw is lost).
-func (f *Net) NextEvent(now uint64) uint64 {
-	if f.Quiet() {
-		return ^uint64(0)
-	}
-	return now + 1
-}
+// NextArrival implements noc.Network. Stall windows and duplicate
+// suppression can only delay or drop a delivery, so the wrapped
+// model's head is a lower bound; endpoints under a fault plan stay
+// awake while anything is in flight rather than trusting it.
+func (f *Net) NextArrival(node int) (uint64, bool) { return f.inner.NextArrival(node) }
+
+// OnArrival implements noc.Network.
+func (f *Net) OnArrival(fn func(node int, readyAt uint64)) { f.inner.OnArrival(fn) }

@@ -46,12 +46,14 @@ func (f *fakeNet) Stats() noc.Stats                      { return noc.Stats{} }
 func (f *fakeNet) PortFlits() []uint64                   { return nil }
 func (f *fakeNet) Nodes() int                            { return f.nodes }
 
-func (f *fakeNet) NextEvent(now uint64) uint64 {
-	if f.Quiet() {
-		return ^uint64(0)
+func (f *fakeNet) NextArrival(node int) (uint64, bool) {
+	if len(f.queues[node]) == 0 {
+		return 0, false
 	}
-	return now + 1
+	return 0, true
 }
+
+func (f *fakeNet) OnArrival(func(node int, readyAt uint64)) {}
 
 func (f *fakeNet) Quiet() bool {
 	for _, q := range f.queues {

@@ -37,6 +37,8 @@ type Bus struct {
 	// live is atomic for the same reason as GMN.inFlight: concurrent
 	// compute-phase Delivers under the sharded schedule.
 	live atomic.Int64
+	// arrive is the OnArrival hook (nil when none is installed).
+	arrive func(node int, readyAt uint64)
 }
 
 type busArrival struct {
@@ -100,6 +102,9 @@ func (b *Bus) Tick(now uint64) {
 		done := now + uint64(b.cfg.ArbDelay) + flits
 		b.busyTill = done
 		b.out[p.Dst] = append(b.out[p.Dst], busArrival{readyAt: done, pkt: p})
+		if b.arrive != nil {
+			b.arrive(p.Dst, done)
+		}
 
 		b.st.Packets++
 		b.st.TotalFlits += flits
@@ -138,37 +143,17 @@ func (b *Bus) Deliver(node int, now uint64) (Packet, bool) {
 // Quiet implements Network.
 func (b *Bus) Quiet() bool { return b.live.Load() == 0 }
 
-// NextEvent implements Network: a nonempty request queue acts when the
-// bus tenure ends (busyTill), and a delivery queue's head delivers at
-// its readyAt (nondecreasing along the queue, so the head is the
-// minimum).
-func (b *Bus) NextEvent(now uint64) uint64 {
-	next := ^uint64(0)
-	for i := range b.queues {
-		if len(b.queues[i]) == 0 {
-			continue
-		}
-		if b.busyTill <= now {
-			return now + 1
-		}
-		if b.busyTill < next {
-			next = b.busyTill
-		}
-		break
+// NextArrival implements Network.
+func (b *Bus) NextArrival(node int) (uint64, bool) {
+	q := b.out[node]
+	if len(q) == 0 {
+		return 0, false
 	}
-	for i := range b.out {
-		q := b.out[i]
-		if len(q) == 0 {
-			continue
-		}
-		if r := q[0].readyAt; r <= now {
-			return now + 1
-		} else if r < next {
-			next = r
-		}
-	}
-	return next
+	return q[0].readyAt, true
 }
+
+// OnArrival implements Network.
+func (b *Bus) OnArrival(fn func(node int, readyAt uint64)) { b.arrive = fn }
 
 // Stats implements Network.
 func (b *Bus) Stats() Stats { return b.st }

@@ -1,6 +1,9 @@
 package noc
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // GMNConfig parameterises the Generic Micro Network model.
 type GMNConfig struct {
@@ -36,6 +39,10 @@ type GMN struct {
 
 	src []gmnSrc
 	dst []gmnDst
+	// srcBusy has bit i set while source queue i is non-empty, so Tick
+	// visits only sources with something to move (in ascending order,
+	// as a scan of every source would).
+	srcBusy []uint64
 
 	stats     Stats
 	portFlits []uint64
@@ -45,6 +52,8 @@ type GMN struct {
 	// all Quiet reads happen at serial points, so the counter's
 	// synchronization is the only one the model needs.
 	inFlight atomic.Int64
+	// arrive is the OnArrival hook (nil when none is installed).
+	arrive func(node int, readyAt uint64)
 }
 
 type gmnSrc struct {
@@ -80,6 +89,7 @@ func NewGMN(cfg GMNConfig) *GMN {
 		cfg:       cfg,
 		src:       make([]gmnSrc, cfg.Nodes),
 		dst:       make([]gmnDst, cfg.Nodes),
+		srcBusy:   make([]uint64, (cfg.Nodes+63)/64),
 		portFlits: make([]uint64, cfg.Nodes),
 	}
 }
@@ -98,6 +108,7 @@ func (g *GMN) Inject(p Packet, now uint64) bool {
 		return false
 	}
 	s.queue = append(s.queue, p)
+	g.srcBusy[p.Src>>6] |= 1 << (p.Src & 63)
 	g.inFlight.Add(1)
 	return true
 }
@@ -106,37 +117,46 @@ func (g *GMN) Inject(p Packet, now uint64) bool {
 // injection queue into the crossbar, modelling source serialization and
 // destination-FIFO backpressure.
 func (g *GMN) Tick(now uint64) {
-	for i := range g.src {
-		s := &g.src[i]
-		if len(s.queue) == 0 || s.busyUntil > now {
-			continue
-		}
-		p := s.queue[0]
-		d := &g.dst[p.Dst]
-		if len(d.queue) >= g.cfg.FIFODepth {
-			continue // destination FIFO full: head-of-line blocking
-		}
-		flits := uint64(p.Flits())
-		// The source port serializes the packet...
-		depart := now + flits
-		s.busyUntil = depart
-		// ...it crosses the network...
-		arrive := depart + uint64(g.cfg.Delay)
-		// ...and the destination port serializes it in turn.
-		if arrive < d.busyUntil {
-			arrive = d.busyUntil
-		}
-		ready := arrive + flits
-		d.busyUntil = ready
-		d.queue = append(d.queue, gmnArrival{readyAt: ready, pkt: p})
+	for w, busy := range g.srcBusy {
+		for ; busy != 0; busy &= busy - 1 {
+			i := w<<6 | bits.TrailingZeros64(busy)
+			s := &g.src[i]
+			if s.busyUntil > now {
+				continue
+			}
+			p := s.queue[0]
+			d := &g.dst[p.Dst]
+			if len(d.queue) >= g.cfg.FIFODepth {
+				continue // destination FIFO full: head-of-line blocking
+			}
+			flits := uint64(p.Flits())
+			// The source port serializes the packet...
+			depart := now + flits
+			s.busyUntil = depart
+			// ...it crosses the network...
+			arrive := depart + uint64(g.cfg.Delay)
+			// ...and the destination port serializes it in turn.
+			if arrive < d.busyUntil {
+				arrive = d.busyUntil
+			}
+			ready := arrive + flits
+			d.busyUntil = ready
+			d.queue = append(d.queue, gmnArrival{readyAt: ready, pkt: p})
+			if g.arrive != nil {
+				g.arrive(p.Dst, ready)
+			}
 
-		copy(s.queue, s.queue[1:])
-		s.queue = s.queue[:len(s.queue)-1]
+			copy(s.queue, s.queue[1:])
+			s.queue = s.queue[:len(s.queue)-1]
+			if len(s.queue) == 0 {
+				g.srcBusy[i>>6] &^= 1 << (i & 63)
+			}
 
-		g.stats.Packets++
-		g.stats.TotalFlits += flits
-		g.stats.TotalBytes += uint64(p.Bytes)
-		g.portFlits[i] += flits
+			g.stats.Packets++
+			g.stats.TotalFlits += flits
+			g.stats.TotalBytes += uint64(p.Bytes)
+			g.portFlits[i] += flits
+		}
 	}
 }
 
@@ -168,39 +188,17 @@ func (g *GMN) Deliver(node int, now uint64) (Packet, bool) {
 // Quiet implements Network.
 func (g *GMN) Quiet() bool { return g.inFlight.Load() == 0 }
 
-// NextEvent implements Network. A source queue's head moves when the
-// port frees (busyUntil); a destination queue's head delivers at its
-// readyAt, which is nondecreasing along the queue, so the head is the
-// queue's minimum. A head already movable or deliverable at now+1
-// makes now+1 the answer — the destination-FIFO-full case included,
-// where returning now+1 is the safe conservative veto.
-func (g *GMN) NextEvent(now uint64) uint64 {
-	next := ^uint64(0)
-	for i := range g.src {
-		s := &g.src[i]
-		if len(s.queue) == 0 {
-			continue
-		}
-		if s.busyUntil <= now {
-			return now + 1
-		}
-		if s.busyUntil < next {
-			next = s.busyUntil
-		}
+// NextArrival implements Network.
+func (g *GMN) NextArrival(node int) (uint64, bool) {
+	d := &g.dst[node]
+	if len(d.queue) == 0 {
+		return 0, false
 	}
-	for i := range g.dst {
-		d := &g.dst[i]
-		if len(d.queue) == 0 {
-			continue
-		}
-		if r := d.queue[0].readyAt; r <= now {
-			return now + 1
-		} else if r < next {
-			next = r
-		}
-	}
-	return next
+	return d.queue[0].readyAt, true
 }
+
+// OnArrival implements Network.
+func (g *GMN) OnArrival(fn func(node int, readyAt uint64)) { g.arrive = fn }
 
 // GMNPortState is one port's queue contents for inspection, with times
 // expressed relative to the snapshot cycle.

@@ -56,6 +56,8 @@ type Mesh struct {
 	// live is atomic for the same reason as GMN.inFlight: concurrent
 	// compute-phase Delivers under the sharded schedule.
 	live atomic.Int64
+	// arrive is the OnArrival hook (nil when none is installed).
+	arrive func(node int, readyAt uint64)
 }
 
 // NewMesh builds a k×k mesh large enough for cfg.Nodes endpoints, one
@@ -166,6 +168,9 @@ func (m *Mesh) Tick(now uint64) {
 					m.out[pkt.Dst] = append(m.out[pkt.Dst], meshEntry{
 						readyAt: now + flits, pkt: pkt,
 					})
+					if m.arrive != nil {
+						m.arrive(pkt.Dst, now+flits)
+					}
 				} else {
 					next, inPort := m.neighbor(idx, out)
 					nr := &m.r[next]
@@ -214,38 +219,18 @@ func (m *Mesh) Deliver(node int, now uint64) (Packet, bool) {
 // Quiet implements Network.
 func (m *Mesh) Quiet() bool { return m.live.Load() == 0 }
 
-// NextEvent implements Network, conservatively: any queued entry
-// already ready vetoes (now+1), otherwise the minimum readyAt over
-// every router input and every delivered-but-unconsumed packet bounds
-// the next possible action. Output-port busy windows only delay
-// actions further, so ignoring them errs on the safe (earlier) side.
-func (m *Mesh) NextEvent(now uint64) uint64 {
-	next := ^uint64(0)
-	consider := func(q []meshEntry) bool {
-		for i := range q {
-			if r := q[i].readyAt; r <= now {
-				return true
-			} else if r < next {
-				next = r
-			}
-		}
-		return false
+// NextArrival implements Network. The delivery queue is FIFO, so its
+// head gates every packet behind it.
+func (m *Mesh) NextArrival(node int) (uint64, bool) {
+	q := m.out[node]
+	if len(q) == 0 {
+		return 0, false
 	}
-	for idx := range m.r {
-		r := &m.r[idx]
-		for in := 0; in < numPorts; in++ {
-			if consider(r.in[in]) {
-				return now + 1
-			}
-		}
-	}
-	for node := range m.out {
-		if consider(m.out[node]) {
-			return now + 1
-		}
-	}
-	return next
+	return q[0].readyAt, true
 }
+
+// OnArrival implements Network.
+func (m *Mesh) OnArrival(fn func(node int, readyAt uint64)) { m.arrive = fn }
 
 // Stats implements Network.
 func (m *Mesh) Stats() Stats { return m.st }

@@ -75,18 +75,19 @@ type Network interface {
 	//
 	//lint:commitphase
 	Tick(now uint64)
-	// Quiet reports whether no packets are in flight or queued.
+	// Quiet reports whether no packets are in flight or queued. Tick
+	// on a quiet network changes nothing.
 	Quiet() bool
-	// NextEvent reports the earliest cycle strictly after now — the
-	// last executed cycle — at which the network's state can change or
-	// act on its own: a queued packet becoming movable by Tick, or an
-	// in-flight packet becoming deliverable. A network with anything
-	// movable or deliverable at now+1 must return now+1 (which vetoes
-	// leaping); an empty network returns ^uint64(0). Returning a cycle
-	// earlier than the true next event is always safe — the engine just
-	// leaps less — while returning a later one would skip live cycles,
-	// so implementations err conservative. Must be pure.
-	NextEvent(now uint64) uint64
+	// NextArrival reports the cycle at which the head of node's
+	// arrival queue becomes deliverable, if a packet is queued there:
+	// the earliest cycle Deliver(node, ·) can make progress. Must be
+	// pure.
+	NextArrival(node int) (uint64, bool)
+	// OnArrival installs fn, called from Tick whenever a packet enters
+	// a node's arrival queue, with the cycle it becomes deliverable
+	// (always after the current cycle). It is how a sleeping endpoint
+	// learns of traffic headed its way; nil uninstalls.
+	OnArrival(fn func(node int, readyAt uint64))
 	// Stats returns accumulated traffic counters.
 	Stats() Stats
 	// PortFlits returns the cumulative flits injected per source port,

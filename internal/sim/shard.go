@@ -22,18 +22,6 @@ type Phased interface {
 	Commit(now uint64)
 }
 
-// CommitIdler is the optional quiescence interface for Phased tickers
-// whose real work happens in Commit (the NoC shard: its compute phase
-// is empty, the network advances at commit). CommitIdle is evaluated
-// serially at the ticker's commit slot — after every earlier commit of
-// the cycle, i.e. at the same point the serial schedule evaluates the
-// equivalent Idler — and a true result skips Commit and counts one
-// skipped tick. The Idler contract applies: CommitIdle must be true
-// only when Commit(now) would change no observable state.
-type CommitIdler interface {
-	CommitIdle(now uint64) bool
-}
-
 // RegisterShard adds a ticker to the engine with an explicit shard
 // affinity. Tickers of one shard run in registration order on one
 // goroutine per cycle; tickers of different shards may run
@@ -41,26 +29,18 @@ type CommitIdler interface {
 // mutable state outside their Commit methods. Register is equivalent
 // to RegisterShard(0, ...). shard must be non-negative.
 //
-// Registering a ticker detaches any installed Leaper: the event-wheel
-// oracle proves cycles dead for the components it knows, and a ticker
-// added behind its back (a trace driver, a test probe) would have its
-// work leaped over. Callers that want leaping with extra tickers must
-// SetLeaper an oracle that covers them, after registration.
+// A non-zero shard or a Phased ticker switches the engine to the
+// two-phase schedule, which ticks every registered ticker every cycle
+// and has no sleep logic: register sleepers only on serial engines.
 func (e *Engine) RegisterShard(shard int, name string, t Ticker) {
 	if shard < 0 {
 		panic("sim: RegisterShard needs a non-negative shard")
 	}
-	e.leaper = nil
-	e.tickers = append(e.tickers, t)
-	id, _ := t.(Idler)
-	e.idlers = append(e.idlers, id)
-	ph, _ := t.(Phased)
-	e.phased = append(e.phased, ph)
-	ci, _ := t.(CommitIdler)
-	e.cidlers = append(e.cidlers, ci)
-	e.shards = append(e.shards, shard)
-	e.names = append(e.names, name)
-	e.planOK = false
+	id := e.add(name, t)
+	e.shards[id] = shard
+	if shard != 0 || e.phased[id] != nil {
+		e.bsp = true
+	}
 }
 
 // SetShards sets the worker-pool size for the compute phase: up to n
@@ -133,18 +113,30 @@ func (e *Engine) buildPlan() {
 	e.planOK = true
 }
 
+// stepBSP executes one cycle of the two-phase schedule: the compute
+// phase (serial shard-major, or on the worker pool when SetShards asked
+// for parallelism), then the commit phase in registration order.
+func (e *Engine) stepBSP(now uint64) {
+	if !e.planOK {
+		e.buildPlan()
+	}
+	if p := e.parallelPool(); p != nil {
+		p.runCycle(now)
+	} else {
+		e.runShardSet(0, 1, now)
+	}
+	for _, ti := range e.commitOrder {
+		e.phased[ti].Commit(now)
+	}
+	e.ticks += uint64(len(e.tickers))
+}
+
 // runShardSet executes the compute phase of every shard s with
 // s % stride == part: ticker order within a shard is registration
-// order, shards ascend. Skipped Idler ticks are accumulated into
-// *skipped (a participant-private slot in parallel runs, merged at the
-// barrier, so the engine-wide count is deterministic).
-func (e *Engine) runShardSet(part, stride int, now uint64, skipped *uint64) {
+// order, shards ascend.
+func (e *Engine) runShardSet(part, stride int, now uint64) {
 	for s := part; s < e.nShards; s += stride {
 		for _, ti := range e.order[e.shardStart[s]:e.shardStart[s+1]] {
-			if id := e.idlers[ti]; id != nil && id.Idle(now) {
-				*skipped++
-				continue
-			}
 			e.tickers[ti].Tick(now)
 		}
 	}
@@ -170,12 +162,11 @@ func (e *Engine) parallelPool() *pool {
 	return e.pool
 }
 
-// padSlot keeps each participant's per-cycle counters on its own cache
+// padSlot keeps each participant's completion counter on its own cache
 // line so the barrier does not false-share.
 type padSlot struct {
 	done atomic.Uint64 // last completed generation (workers only)
-	skip uint64        // Idler skips this cycle
-	_    [48]byte
+	_    [56]byte
 }
 
 // pool is the persistent compute-phase worker pool: parts-1 worker
@@ -239,24 +230,19 @@ func (p *pool) worker(w int) {
 		if !p.await(target) {
 			return
 		}
-		now := p.now
-		p.slots[w].skip = 0
-		p.e.runShardSet(w, p.parts, now, &p.slots[w].skip)
+		p.e.runShardSet(w, p.parts, p.now)
 		p.slots[w].done.Store(target)
 	}
 }
 
-// runCycle executes one compute phase across the pool and merges the
-// participants' skipped-tick counts into the engine (in slot order, so
-// the sum — all the engine exposes — is deterministic).
+// runCycle executes one compute phase across the pool.
 func (p *pool) runCycle(now uint64) {
 	p.now = now
 	p.mu.Lock()
 	g := p.gen.Add(1)
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	p.slots[0].skip = 0
-	p.e.runShardSet(0, p.parts, now, &p.slots[0].skip)
+	p.e.runShardSet(0, p.parts, now)
 	for w := 1; w < p.parts; w++ {
 		for i := 0; p.slots[w].done.Load() < g; i++ {
 			if i&63 == 63 {
@@ -264,9 +250,4 @@ func (p *pool) runCycle(now uint64) {
 			}
 		}
 	}
-	var sk uint64
-	for i := range p.slots {
-		sk += p.slots[i].skip
-	}
-	p.e.skipped += sk
 }

@@ -130,37 +130,26 @@ func TestShardedMatchesSerialEngine(t *testing.T) {
 	}
 }
 
-// idleEvery ticks only on cycles divisible by k.
-type idleEvery struct {
-	k     uint64
-	ticks uint64
-}
-
-func (d *idleEvery) Tick(now uint64)      { d.ticks++ }
-func (d *idleEvery) Idle(now uint64) bool { return now%d.k != 0 }
-
-// commitIdleEvery is Phased with an empty compute phase and a commit
-// active only on cycles divisible by k — the NoC shard's shape.
-type commitIdleEvery struct {
-	k       uint64
+// commitEvery is Phased with an empty compute phase — the NoC shard's
+// shape.
+type commitEvery struct {
 	commits uint64
 }
 
-func (d *commitIdleEvery) Tick(uint64)                {}
-func (d *commitIdleEvery) Commit(now uint64)          { d.commits++ }
-func (d *commitIdleEvery) CommitIdle(now uint64) bool { return now%d.k != 0 }
+func (d *commitEvery) Tick(uint64)       {}
+func (d *commitEvery) Commit(now uint64) { d.commits++ }
 
-// TestSkippedTicksSharded pins that SkippedTicks counts compute-phase
-// Idler skips and commit-phase CommitIdler skips, and that the count
-// is identical across pool sizes.
-func TestSkippedTicksSharded(t *testing.T) {
+// TestTicksSharded pins that the sharded schedule has no sleep logic:
+// every registered ticker runs (and commits) every cycle, the executed
+// tick count is tickers × cycles, and it is identical across pool
+// sizes.
+func TestTicksSharded(t *testing.T) {
 	const cycles = 100
-	counts := make(map[int]uint64)
 	for _, workers := range []int{1, 4} {
 		e := NewEngine()
-		id := &idleEvery{k: 4}
-		ci := &commitIdleEvery{k: 5}
-		e.RegisterShard(0, "idler", id)
+		ci := &commitEvery{}
+		ticks := 0
+		e.RegisterShard(0, "plain", TickFunc(func(uint64) { ticks++ }))
 		e.RegisterShard(1, "committer", ci)
 		e.RegisterShard(2, "busy", TickFunc(func(uint64) {}))
 		e.SetShards(workers)
@@ -168,17 +157,12 @@ func TestSkippedTicksSharded(t *testing.T) {
 			e.Step()
 		}
 		e.StopPool()
-		// idler skips 75 of 100 cycles, committer 80 of 100.
-		if got := e.SkippedTicks(); got != 75+80 {
-			t.Fatalf("workers=%d: SkippedTicks = %d, want %d", workers, got, 75+80)
+		if got := e.Ticks(); got != 3*cycles {
+			t.Fatalf("workers=%d: Ticks = %d, want %d", workers, got, 3*cycles)
 		}
-		if id.ticks != 25 || ci.commits != 20 {
-			t.Fatalf("workers=%d: ticks/commits = %d/%d, want 25/20", workers, id.ticks, ci.commits)
+		if ticks != cycles || ci.commits != cycles {
+			t.Fatalf("workers=%d: ticks/commits = %d/%d, want %d each", workers, ticks, ci.commits, cycles)
 		}
-		counts[workers] = e.SkippedTicks()
-	}
-	if counts[1] != counts[4] {
-		t.Fatalf("SkippedTicks differ across pool sizes: %v", counts)
 	}
 }
 

@@ -9,23 +9,37 @@
 // simulation results. This is the property that makes the whole model
 // deterministic and makes the protocol comparison fair.
 //
-// The latching property is also what enables the sharded
-// bulk-synchronous-parallel schedule (see Phased, RegisterShard,
-// SetShards): each cycle splits into a compute phase, where shards of
-// tickers run concurrently touching only shard-local state, and a
-// serial commit phase, where cross-shard sends happen in registration
-// order — the exact injection order of the serial schedule — so a
-// sharded run is byte-identical to a serial one. Within one cycle the
-// full order is: compute ticks (shard-major; registration order within
-// a shard), then commits in registration order, then Every hooks, then
-// — from Run — the watchdogs. SkippedTicks counts compute-phase Idler
-// skips plus commit-phase CommitIdler skips; because the partition is
-// fixed at build time and both predicates are evaluated at schedule
-// points equivalent to the serial ones, the count is identical across
-// shard settings.
+// Sleep/wake. A component registered with RegisterSleeper may put
+// itself to sleep from its own Tick when it cannot make progress
+// (Handle.Sleep): until a cycle it already knows (an FPU result, a
+// queued message's not-before time, a packet's arrival), or until
+// another component wakes it (Handle.Wake, Handle.WakeAt). The engine
+// keeps the awake set, iterated in registration order, plus a wake
+// wheel keyed by cycle; sleeping components are not ticked at all. A
+// component woken during cycle t runs at its next slot in registration
+// order: at t when its slot is still ahead, at t+1 otherwise — which
+// is exactly when a stepped component would first have observed the
+// waker's effect. On waking, a component whose skipped ticks would have
+// advanced per-cycle counters catches them up (CatchUpper); the engine
+// also catches every sleeper up before each Every hook and before Run
+// returns, so statistics read at those points match a stepped run.
+// When nothing is awake, Run leaps in O(1) to the wheel's minimum.
+//
+// The sharded bulk-synchronous-parallel schedule (see Phased,
+// RegisterShard, SetShards) has no sleep logic: each cycle splits into
+// a compute phase, where shards of tickers run concurrently touching
+// only shard-local state, and a serial commit phase, where cross-shard
+// sends happen in registration order — the exact injection order of
+// the serial schedule — so a sharded run is byte-identical to a serial
+// one. Within one cycle the full order is: compute ticks (shard-major;
+// registration order within a shard), then commits in registration
+// order, then Every hooks, then — from Run — the watchdogs.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Ticker is any component advanced once per simulated cycle.
 type Ticker interface {
@@ -40,119 +54,98 @@ type TickFunc func(now uint64)
 // Tick implements Ticker.
 func (f TickFunc) Tick(now uint64) { f(now) }
 
-// Idler is the optional quiescence interface: a Ticker that also
-// implements Idler is skipped on every cycle for which Idle reports
-// true. Idle must be true only when Tick(now) would change no
-// observable state — neither simulation state nor statistics — so a
-// skipped tick is indistinguishable from an executed one and
-// determinism is preserved. Idle itself must not mutate anything.
-type Idler interface {
-	Ticker
-	Idle(now uint64) bool
+// CatchUpper is implemented by sleepers whose skipped ticks would have
+// advanced per-cycle counters (a stalled CPU bumps its stall counter
+// on every retry). CatchUp(from, to) must apply exactly the counter
+// increments that ticking cycles [from, to) in the component's sleep
+// state would have applied, and nothing else. The engine calls it when
+// the component wakes and at every catch-up point (Every hooks, the
+// end of Run), with contiguous spans.
+type CatchUpper interface {
+	CatchUp(from, to uint64)
 }
 
-// Leaper is the event-wheel interface: a single system-level oracle
-// that lets Run skip provably-dead cycles wholesale instead of
-// executing them one Step at a time. It generalises Idler from "this
-// component does nothing this cycle" to "nothing in the whole system
-// does anything until cycle w".
-//
-// NextWake(cur) is called with cur = the next cycle Run would execute.
-// It returns:
-//
-//   - cur (or anything <= cur) to veto leaping — some component may do
-//     real work at cur;
-//   - NoWake (^uint64(0)) when no future event is scheduled at all —
-//     the system is inert until an external deadline;
-//   - otherwise the earliest cycle w > cur at which some component must
-//     execute. Every cycle in [cur, w) must be dead: executing it would
-//     change nothing beyond the fixed per-cycle counter bumps that
-//     SkipTo compensates.
-//
-// SkipTo(cur, target) is then called for each leaped span: it must
-// apply exactly the statistic increments (stall counters, backoff
-// counters, ...) that executing cycles [cur, target) one by one would
-// have applied, and nothing else. Run may split one leap into several
-// SkipTo calls at periodic-hook boundaries; the spans are contiguous.
-//
-// Both methods must be pure apart from SkipTo's counter compensation:
-// a run with a Leaper attached is byte-identical to the same run
-// without one, just faster.
-type Leaper interface {
-	NextWake(cur uint64) uint64
-	SkipTo(cur, target uint64)
-}
-
-// NoWake is the NextWake result meaning "no future event scheduled".
+// NoWake is the Sleep argument meaning "until another component wakes
+// me".
 const NoWake = ^uint64(0)
 
-// SetLeaper attaches the event-wheel oracle consulted by Run after
-// every executed cycle. Passing nil detaches it. Registering any
-// further ticker also detaches it (see RegisterShard): the oracle
-// cannot vouch for components it does not know about.
-func (e *Engine) SetLeaper(l Leaper) { e.leaper = l }
-
-// Leaps reports how many leap spans Run has taken (diagnostics).
-func (e *Engine) Leaps() uint64 { return e.leaps }
-
-// LeapedCycles reports how many cycles Run skipped via the Leaper
-// (diagnostics; a leaped run still counts these in its cycle total,
-// it just never executed them).
-func (e *Engine) LeapedCycles() uint64 { return e.leapedCycles }
-
-// idleTicker pairs a tick function with an idleness predicate.
-type idleTicker struct {
-	tick func(now uint64)
-	idle func(now uint64) bool
+// Handle is a registered sleeper's link to its engine. The zero Handle
+// is inert — every method is a no-op — so components work unchanged
+// outside a sleeping engine (the sharded schedule, -nosleep, unit
+// tests that drive them by hand).
+type Handle struct {
+	e  *Engine
+	id int32
 }
 
-func (t idleTicker) Tick(now uint64)      { t.tick(now) }
-func (t idleTicker) Idle(now uint64) bool { return t.idle(now) }
+// Sleep puts the component to sleep from its own Tick(now): it is not
+// ticked again before cycle until, or before another component wakes
+// it. until must cover every event already visible in the component's
+// state; wakers only report events that happen while it sleeps.
+// until <= now+1 keeps the component awake.
+func (h Handle) Sleep(until uint64) {
+	if h.e != nil {
+		h.e.sleep(int(h.id), until)
+	}
+}
 
-// TickerWithIdle adapts a tick function and an idleness predicate to
-// the Idler interface, for tickers built from closures (TickFunc alone
-// cannot express quiescence). The Idler contract applies: idle must be
-// true only when tick(now) would be a strict no-op.
-func TickerWithIdle(tick func(now uint64), idle func(now uint64) bool) Ticker {
-	return idleTicker{tick: tick, idle: idle}
+// Wake wakes the component now: it runs at its next slot in
+// registration order. A no-op while the component is awake.
+func (h Handle) Wake() {
+	if h.e != nil {
+		h.e.resume(int(h.id))
+	}
+}
+
+// WakeAt makes a sleeping component run no later than cycle at (at the
+// current cycle or earlier means Wake). A no-op while the component is
+// awake: an awake component accounts for the event itself when it next
+// chooses to sleep.
+func (h Handle) WakeAt(at uint64) {
+	if h.e != nil {
+		h.e.wakeAt(int(h.id), at)
+	}
 }
 
 // Engine drives a set of Tickers cycle by cycle.
 type Engine struct {
 	now     uint64
 	tickers []Ticker
-	// idlers[i] is non-nil when tickers[i] implements Idler; the
-	// parallel slice keeps Step free of per-cycle type assertions.
-	// phased, cidlers and shards are maintained the same way for the
-	// two-phase schedule (see shard.go).
-	idlers    []Idler
-	phased    []Phased
-	cidlers   []CommitIdler
-	shards    []int
-	names     []string
+	names   []string
+
+	// Sleep/wake state, indexed by registration order. awake is the
+	// awake set as a bitset; asleep[i] marks a sleeper whose ticks are
+	// being skipped since cycle from[i]; catchUp[i] is non-nil when
+	// tickers[i] implements CatchUpper. slot is the index of the ticker
+	// executing, or -1 outside the tick loop.
+	awake   []uint64
+	nAwake  int
+	asleep  []bool
+	from    []uint64
+	catchUp []CatchUpper
+	wheel   wakeWheel
+	slot    int
+	noSleep bool
+
+	// ticks counts executed component ticks.
+	ticks uint64
+
 	periodics []periodic
 	watchdogs []func(now uint64) error
-	skipped   uint64
 
-	// leaper, when non-nil, is the event-wheel oracle Run consults to
-	// skip dead cycles; leaps/leapedCycles account for what it skipped.
-	leaper       Leaper
-	leaps        uint64
-	leapedCycles uint64
-
-	// Execution plan, derived lazily from the registrations: tickers in
-	// shard-major compute order, per-shard offsets, and the registration-
-	// order commit list.
+	// Sharded schedule (see shard.go): phased[i] is non-nil when
+	// tickers[i] implements Phased; shards[i] is its shard. bsp is set
+	// by the first registration that needs the two-phase plan.
+	bsp         bool
+	phased      []Phased
+	shards      []int
 	planOK      bool
 	order       []int
 	shardStart  []int
 	commitOrder []int
 	nShards     int
-
-	// workers is the requested compute-phase parallelism (SetShards);
-	// pool is the running worker pool, nil while serial.
-	workers int
-	pool    *pool
+	workers     int
+	pool        *pool
 }
 
 // periodic is a sampling hook run every interval cycles, after all
@@ -163,27 +156,151 @@ type periodic struct {
 }
 
 // NewEngine returns an empty engine at cycle zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine { return &Engine{slot: -1} }
 
 // Now reports the current cycle.
 func (e *Engine) Now() uint64 { return e.now }
 
-// Register adds a ticker to the engine. Tickers run every cycle in
-// registration order. The name is used in diagnostics only.
+// Ticks reports how many component ticks the engine has executed. A
+// stepped engine (DisableSleep) executes every registered component
+// every cycle; the difference is the work sleeping saved. The count is
+// deterministic, so it can be compared exactly across hosts.
+func (e *Engine) Ticks() uint64 { return e.ticks }
+
+// Register adds an always-awake ticker to the engine. Tickers run every
+// cycle in registration order. The name is used in diagnostics only.
 func (e *Engine) Register(name string, t Ticker) {
 	e.RegisterShard(0, name, t)
 }
 
-// SkippedTicks reports how many ticks were skipped via Idle and
-// CommitIdle (diagnostics and tests; skipping is invisible to the
-// simulation itself, and the count is independent of SetShards).
-func (e *Engine) SkippedTicks() uint64 { return e.skipped }
+// RegisterSleeper adds a ticker that may sleep, returning the Handle it
+// sleeps through and others wake it through. After DisableSleep the
+// Handle is inert and the ticker runs every cycle like any other.
+func (e *Engine) RegisterSleeper(name string, t Ticker) Handle {
+	id := e.add(name, t)
+	if e.noSleep {
+		return Handle{}
+	}
+	if cu, ok := t.(CatchUpper); ok {
+		e.catchUp[id] = cu
+	}
+	return Handle{e: e, id: int32(id)}
+}
+
+// DisableSleep makes every later RegisterSleeper return an inert
+// Handle: each component is then ticked every cycle. Results are
+// byte-identical either way; the switch is the naive side of the
+// equivalence tests and the A/B for timing. Call it before registering.
+func (e *Engine) DisableSleep() { e.noSleep = true }
+
+// add appends t to every per-ticker table, awake, and returns its id.
+func (e *Engine) add(name string, t Ticker) int {
+	id := len(e.tickers)
+	e.tickers = append(e.tickers, t)
+	e.names = append(e.names, name)
+	e.asleep = append(e.asleep, false)
+	e.from = append(e.from, 0)
+	e.catchUp = append(e.catchUp, nil)
+	ph, _ := t.(Phased)
+	e.phased = append(e.phased, ph)
+	e.shards = append(e.shards, 0)
+	e.wheel.add()
+	if id>>6 >= len(e.awake) {
+		e.awake = append(e.awake, 0)
+	}
+	e.awake[id>>6] |= 1 << (id & 63)
+	e.nAwake++
+	e.planOK = false
+	return id
+}
+
+// sleep implements Handle.Sleep.
+func (e *Engine) sleep(id int, until uint64) {
+	if until <= e.now+1 {
+		return
+	}
+	if !e.asleep[id] {
+		e.asleep[id] = true
+		e.from[id] = e.now + 1
+		e.awake[id>>6] &^= 1 << (id & 63)
+		e.nAwake--
+	}
+	if until != NoWake {
+		e.wheel.set(id, until)
+	} else {
+		e.wheel.remove(id)
+	}
+}
+
+// resume implements Handle.Wake: the component rejoins the awake set
+// and catches up the cycles it slept through, up to the cycle it will
+// next tick in — the current one if its slot is still ahead, else the
+// next.
+func (e *Engine) resume(id int) {
+	if !e.asleep[id] {
+		return
+	}
+	e.asleep[id] = false
+	e.wheel.remove(id)
+	at := e.now
+	if id <= e.slot {
+		at++
+	}
+	if cu := e.catchUp[id]; cu != nil && at > e.from[id] {
+		cu.CatchUp(e.from[id], at)
+	}
+	e.awake[id>>6] |= 1 << (id & 63)
+	e.nAwake++
+}
+
+// wakeAt implements Handle.WakeAt.
+func (e *Engine) wakeAt(id int, at uint64) {
+	if !e.asleep[id] {
+		return
+	}
+	if at <= e.now {
+		e.resume(id)
+		return
+	}
+	e.wheel.lower(id, at)
+}
+
+// catchUpAll brings every sleeper's counters up to the current cycle:
+// the catch-up point before Every hooks and at the end of Run.
+func (e *Engine) catchUpAll() {
+	for id, cu := range e.catchUp {
+		if cu != nil && e.asleep[id] && e.from[id] < e.now {
+			cu.CatchUp(e.from[id], e.now)
+			e.from[id] = e.now
+		}
+	}
+}
+
+// nextAwake returns the first awake ticker index >= i, or -1. It reads
+// the live bitset, so a component woken ahead of the current slot is
+// picked up in the same cycle.
+func (e *Engine) nextAwake(i int) int {
+	w := i >> 6
+	if w >= len(e.awake) {
+		return -1
+	}
+	b := e.awake[w] &^ (1<<(i&63) - 1)
+	for b == 0 {
+		w++
+		if w == len(e.awake) {
+			return -1
+		}
+		b = e.awake[w]
+	}
+	return w<<6 | bits.TrailingZeros64(b)
+}
 
 // Every registers fn to run each time interval further cycles have
 // completed (at cycles interval, 2*interval, ...), after every ticker
-// of that cycle. It is the observability sampling hook: fn must only
-// observe state, never mutate it, so registered hooks cannot change
-// simulation results. interval must be positive.
+// of that cycle and after every sleeper has been caught up. It is the
+// observability sampling hook: fn must only observe state, never mutate
+// it, so registered hooks cannot change simulation results. interval
+// must be positive.
 func (e *Engine) Every(interval uint64, fn func(now uint64)) {
 	if interval == 0 {
 		panic("sim: Every needs a positive interval")
@@ -191,23 +308,21 @@ func (e *Engine) Every(interval uint64, fn func(now uint64)) {
 	e.periodics = append(e.periodics, periodic{interval: interval, fn: fn})
 }
 
-// Watchdog registers a liveness check polled by Run once per cycle,
-// after all tickers of that cycle. A non-nil error aborts the run
-// immediately with that error — before the deadline would fire — so a
-// stuck transaction surfaces as its own diagnostic instead of the
+// Watchdog registers a liveness check polled by Run once per executed
+// cycle, after all tickers of that cycle. A non-nil error aborts the
+// run immediately with that error — before the deadline would fire —
+// so a stuck transaction surfaces as its own diagnostic instead of the
 // anonymous ErrDeadline thousands of cycles later. fn must only
-// observe state, never mutate it (the Idler reasoning: registering a
-// watchdog cannot change simulation results). Runs with no registered
-// watchdog pay nothing.
+// observe state, never mutate it: registering a watchdog cannot change
+// simulation results. Runs with no registered watchdog pay nothing.
 func (e *Engine) Watchdog(fn func(now uint64) error) {
 	e.watchdogs = append(e.watchdogs, fn)
 }
 
-// Step advances the simulation by exactly one cycle: the compute phase
-// (serial shard-major, or on the worker pool when SetShards asked for
-// parallelism), then the commit phase in registration order, then the
-// Every hooks. For engines registered without shards the compute phase
-// degenerates to the classic single loop in registration order.
+// Step advances the simulation by exactly one cycle: wake the sleepers
+// due this cycle, tick the awake set in registration order, then run
+// the Every hooks. Engines with sharded registrations run the two-phase
+// schedule instead (every ticker, every cycle; see shard.go).
 //
 // Step is the per-cycle engine loop, the hot-path root everything else
 // hangs off: allocations anywhere it reaches are gated by simlint's
@@ -215,29 +330,41 @@ func (e *Engine) Watchdog(fn func(now uint64) error) {
 //
 //lint:hot
 func (e *Engine) Step() {
-	if !e.planOK {
-		e.buildPlan()
-	}
 	now := e.now
-	if p := e.parallelPool(); p != nil {
-		p.runCycle(now)
+	if e.bsp {
+		e.stepBSP(now)
 	} else {
-		e.runShardSet(0, 1, now, &e.skipped)
-	}
-	for _, ti := range e.commitOrder {
-		if ci := e.cidlers[ti]; ci != nil && ci.CommitIdle(now) {
-			e.skipped++
-			continue
+		for {
+			at, ok := e.wheel.min()
+			if !ok || at > now {
+				break
+			}
+			e.resume(e.wheel.pop())
 		}
-		e.phased[ti].Commit(now)
+		for i := e.nextAwake(0); i >= 0; i = e.nextAwake(i + 1) {
+			e.slot = i
+			e.tickers[i].Tick(now)
+			e.ticks++
+		}
+		e.slot = -1
 	}
 	e.now++
-	if len(e.periodics) != 0 {
-		for i := range e.periodics {
-			p := &e.periodics[i]
-			if e.now%p.interval == 0 {
-				p.fn(e.now)
+	e.firePeriodics()
+}
+
+// firePeriodics runs the Every hooks due at the current cycle, catching
+// every sleeper up first so the hooks observe stepped-equivalent
+// counters.
+func (e *Engine) firePeriodics() {
+	caught := false
+	for i := range e.periodics {
+		p := &e.periodics[i]
+		if e.now%p.interval == 0 {
+			if !caught {
+				e.catchUpAll()
+				caught = true
 			}
+			p.fn(e.now)
 		}
 	}
 }
@@ -255,22 +382,19 @@ func (e *ErrDeadline) Error() string {
 // Run advances the simulation until done() reports true, checking the
 // predicate once per cycle after all tickers have run. It returns the
 // number of cycles elapsed (executed plus leaped). If maxCycles is
-// non-zero and elapses first, Run stops and returns ErrDeadline.
+// non-zero and elapses first, Run stops and returns ErrDeadline. Every
+// sleeper is caught up before Run returns, on every path.
 //
-// When a Leaper is attached (SetLeaper), Run consults it after the
-// done and deadline checks, before executing the next cycle, and may
-// advance e.now over a span of dead cycles without executing them.
-// Leaping before the checks rather than after Step means a predicate
-// that becomes true (or a deadline that expires) is observed at the
-// exact cycle stepped execution would have observed it — the leap can
-// never overshoot the end of the run. Leaps are clamped to the
-// deadline, and broken at every Every-hook boundary so each periodic
-// hook still fires at cycles interval, 2*interval, ... with the
-// counter compensation for the span already applied. Watchdogs are
-// not polled inside a leaped span: a leapable window is frozen by
-// definition, so a watchdog that would fire during it already fired
-// at the poll after the last executed cycle.
+// When nothing is awake, Run leaps e.now to the wake wheel's minimum
+// instead of stepping empty cycles (see leap). The done and deadline
+// checks run before every leap and every step, so a predicate that
+// becomes true (or a deadline that expires) is observed at the exact
+// cycle stepped execution would have observed it. Watchdogs are not
+// polled inside a leaped span: nothing changes there, so a watchdog
+// that would fire during it already fired after the last executed
+// cycle.
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
+	defer e.catchUpAll()
 	start := e.now
 	for {
 		if done() {
@@ -279,9 +403,7 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 		if maxCycles != 0 && e.now-start >= maxCycles {
 			return e.now - start, &ErrDeadline{Cycles: maxCycles}
 		}
-		if e.leaper != nil && e.leap(start, maxCycles) {
-			// The leap advanced e.now; re-run the done and deadline
-			// checks at the leaped-to cycle before executing it.
+		if e.nAwake == 0 && e.leap(start, maxCycles) {
 			continue
 		}
 		e.Step()
@@ -293,52 +415,34 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	}
 }
 
-// leap consults the Leaper once and, if a dead span lies ahead,
-// advances e.now across it boundary by boundary: each segment ends at
-// the nearest periodic-hook multiple (or the target), SkipTo applies
-// the segment's counter compensation, and the hooks due at the segment
-// end fire — exactly the observation sequence stepped execution would
-// have produced. It reports whether it advanced e.now.
+// leap advances e.now over cycles in which no component is awake: to
+// the wake wheel's minimum, clamped to the deadline, and cut at the
+// next Every-hook boundary so each hook fires at its cycle with every
+// sleeper caught up. It reports whether it advanced e.now. With no
+// timed wake and no deadline there is nowhere to leap to; Run keeps
+// stepping (empty cycles) so done() can still end the run.
 func (e *Engine) leap(start, maxCycles uint64) bool {
-	cur := e.now
-	wake := e.leaper.NextWake(cur)
-	if wake <= cur {
-		return false
+	target, ok := e.wheel.min()
+	if !ok {
+		target = NoWake
 	}
-	target := wake
 	if maxCycles != 0 {
 		if deadline := start + maxCycles; target > deadline {
-			// Clamp to the deadline: cycles past it would never have
-			// been executed, so they must not be leaped either.
 			target = deadline
 		}
-	} else if wake == NoWake {
-		// No future event and no deadline to clamp to: leaping would
-		// jump nowhere meaningful. Fall back to stepped execution
-		// (done() may still end the run).
+	} else if !ok {
 		return false
 	}
-	if target <= cur {
+	for i := range e.periodics {
+		p := &e.periodics[i]
+		if b := (e.now/p.interval + 1) * p.interval; b < target {
+			target = b
+		}
+	}
+	if target <= e.now {
 		return false
 	}
-	e.leaps++
-	for e.now < target {
-		next := target
-		for i := range e.periodics {
-			p := &e.periodics[i]
-			if b := (e.now/p.interval + 1) * p.interval; b < next {
-				next = b
-			}
-		}
-		e.leaper.SkipTo(e.now, next)
-		e.leapedCycles += next - e.now
-		e.now = next
-		for i := range e.periodics {
-			p := &e.periodics[i]
-			if e.now%p.interval == 0 {
-				p.fn(e.now)
-			}
-		}
-	}
+	e.now = target
+	e.firePeriodics()
 	return true
 }

@@ -150,72 +150,138 @@ func TestEngineEveryRunsAfterTickersOfItsCycle(t *testing.T) {
 	}
 }
 
-func TestEngineIdleSkip(t *testing.T) {
-	e := NewEngine()
-	idle := false
-	var ticks, plainTicks int
-	e.Register("skippable", TickerWithIdle(
-		func(now uint64) { ticks++ },
-		func(now uint64) bool { return idle },
-	))
-	e.Register("plain", TickFunc(func(now uint64) { plainTicks++ }))
-
-	e.Step()
-	e.Step()
-	if ticks != 2 || e.SkippedTicks() != 0 {
-		t.Fatalf("busy phase: ticks=%d skipped=%d", ticks, e.SkippedTicks())
-	}
-	idle = true
-	e.Step()
-	e.Step()
-	if ticks != 2 {
-		t.Fatalf("idle ticker still ran: ticks=%d", ticks)
-	}
-	if e.SkippedTicks() != 2 {
-		t.Fatalf("skipped = %d, want 2", e.SkippedTicks())
-	}
-	// Only the Idler is skipped; other tickers and the cycle count
-	// advance as always.
-	if plainTicks != 4 || e.Now() != 4 {
-		t.Fatalf("plainTicks=%d now=%d", plainTicks, e.Now())
-	}
-	idle = false
-	e.Step()
-	if ticks != 3 {
-		t.Fatalf("ticker did not resume: ticks=%d", ticks)
-	}
-}
-
-// scriptLeaper drives the engine's leap path from a table: wake decides
-// NextWake per consultation, and every SkipTo span is recorded so tests
-// can pin the exact segmentation Run performed.
-type scriptLeaper struct {
-	wake  func(cur uint64) uint64
+// sleeper is a scripted RegisterSleeper component: it records the
+// cycles it ticks at, then sleeps until plan(now) (0 = stay awake). Its
+// CatchUp records every span the engine charges it for.
+type sleeper struct {
+	h     Handle
+	plan  func(now uint64) uint64
+	ticks []uint64
 	spans [][2]uint64
 }
 
-func (l *scriptLeaper) NextWake(cur uint64) uint64 { return l.wake(cur) }
-func (l *scriptLeaper) SkipTo(cur, target uint64) {
-	l.spans = append(l.spans, [2]uint64{cur, target})
+func (s *sleeper) Tick(now uint64) {
+	s.ticks = append(s.ticks, now)
+	if until := s.plan(now); until != 0 {
+		s.h.Sleep(until)
+	}
+}
+
+func (s *sleeper) CatchUp(from, to uint64) {
+	s.spans = append(s.spans, [2]uint64{from, to})
+}
+
+func addSleeper(e *Engine, plan func(now uint64) uint64) *sleeper {
+	s := &sleeper{plan: plan}
+	s.h = e.RegisterSleeper("s", s)
+	return s
+}
+
+func TestEngineIdleSkip(t *testing.T) {
+	// A sleeping component is not ticked; plain tickers and the cycle
+	// count advance as always; a wake brings it back, and the executed
+	// tick counter sees only the ticks that ran.
+	e := NewEngine()
+	s := addSleeper(e, func(now uint64) uint64 {
+		if now == 1 {
+			return NoWake
+		}
+		return 0
+	})
+	plainTicks := 0
+	e.Register("plain", TickFunc(func(now uint64) {
+		plainTicks++
+		if now == 4 {
+			s.h.Wake() // slot already passed this cycle: runs at 5
+		}
+	}))
+	for i := 0; i < 6; i++ {
+		e.Step()
+	}
+	if !equalU64(s.ticks, []uint64{0, 1, 5}) {
+		t.Fatalf("sleeper ticked at %v; want [0 1 5]", s.ticks)
+	}
+	if plainTicks != 6 || e.Now() != 6 {
+		t.Fatalf("plainTicks=%d now=%d", plainTicks, e.Now())
+	}
+	if e.Ticks() != 3+6 {
+		t.Fatalf("Ticks = %d, want 9", e.Ticks())
+	}
+	// Catch-up covered exactly the skipped cycles 2..4.
+	if len(s.spans) != 1 || s.spans[0] != [2]uint64{2, 5} {
+		t.Fatalf("catch-up spans %v; want [[2 5]]", s.spans)
+	}
+}
+
+func TestWakeRunsAtNextSlot(t *testing.T) {
+	// A component woken during cycle t runs at its next slot in
+	// registration order: at t when its slot is still ahead of the
+	// waker, at t+1 when it already passed.
+	e := NewEngine()
+	var early, late *sleeper
+	sleepAtZero := func(now uint64) uint64 {
+		if now == 0 {
+			return NoWake
+		}
+		return 0
+	}
+	early = addSleeper(e, sleepAtZero)
+	e.Register("waker", TickFunc(func(now uint64) {
+		if now == 3 {
+			early.h.Wake()
+			late.h.Wake()
+		}
+	}))
+	late = addSleeper(e, sleepAtZero)
+	for i := 0; i < 5; i++ {
+		e.Step()
+	}
+	if !equalU64(early.ticks, []uint64{0, 4}) || !equalU64(late.ticks, []uint64{0, 3, 4}) {
+		t.Fatalf("early ticked %v (want [0 4]), late %v (want [0 3 4])", early.ticks, late.ticks)
+	}
+	if early.spans[0] != [2]uint64{1, 4} || late.spans[0] != [2]uint64{1, 3} {
+		t.Fatalf("catch-up spans early %v late %v", early.spans, late.spans)
+	}
+}
+
+func TestWakeAtKeepsEarliest(t *testing.T) {
+	// WakeAt lowers a sleeper's timed wake but never postpones it, and
+	// is ignored while the component is awake.
+	e := NewEngine()
+	s := addSleeper(e, func(now uint64) uint64 {
+		if now == 0 {
+			return 20
+		}
+		return NoWake
+	})
+	e.Step() // s sleeps until 20
+	s.h.WakeAt(30)
+	s.h.WakeAt(8)
+	s.h.WakeAt(12)
+	if _, err := e.Run(40, func() bool { return false }); err == nil {
+		t.Fatal("want ErrDeadline")
+	}
+	if !equalU64(s.ticks, []uint64{0, 8}) {
+		t.Fatalf("ticked at %v; want [0 8]", s.ticks)
+	}
 }
 
 func TestLeapFiresEveryCrossedHookBoundary(t *testing.T) {
-	// A leap over [1,14) must fire the Every(3) hook at 3, 6, 9, 12 and
-	// the Every(5) hook at 5, 10 — every interval multiple the span
-	// crosses — exactly as stepped execution would have.
+	// With nothing awake over [1,14), Run leaps instead of stepping, and
+	// must still fire the Every(3) hook at 3, 6, 9, 12 and the Every(5)
+	// hook at 5, 10 — every interval multiple the span crosses — with
+	// the sleeper caught up before each, exactly as stepped execution
+	// would have.
 	e := NewEngine()
-	steps := 0
-	e.Register("t", TickFunc(func(now uint64) { steps++ }))
+	s := addSleeper(e, func(now uint64) uint64 {
+		if now == 0 {
+			return 14
+		}
+		return 0
+	})
 	var fired3, fired5 []uint64
 	e.Every(3, func(now uint64) { fired3 = append(fired3, now) })
 	e.Every(5, func(now uint64) { fired5 = append(fired5, now) })
-	l := &scriptLeaper{wake: func(cur uint64) uint64 {
-		if cur == 1 {
-			return 14
-		}
-		return cur // veto: step normally
-	}}
-	e.SetLeaper(l)
 	cycles, err := e.Run(20, func() bool { return false })
 	var dl *ErrDeadline
 	if !errors.As(err, &dl) || cycles != 20 {
@@ -227,80 +293,67 @@ func TestLeapFiresEveryCrossedHookBoundary(t *testing.T) {
 		t.Fatalf("hooks fired at %v / %v; want %v / %v", fired3, fired5, want3, want5)
 	}
 	// Cycles 1..13 were leaped, so only cycles 0 and 14..19 executed.
-	if steps != 7 {
-		t.Fatalf("executed %d cycles; want 7", steps)
+	if len(s.ticks) != 7 || e.Ticks() != 7 {
+		t.Fatalf("executed %d ticks (engine %d); want 7", len(s.ticks), e.Ticks())
 	}
-	if e.Leaps() != 1 || e.LeapedCycles() != 13 {
-		t.Fatalf("leaps=%d leaped=%d; want 1 leap of 13 cycles", e.Leaps(), e.LeapedCycles())
-	}
-	// The leap was segmented at every hook boundary, contiguously.
+	// Catch-up was segmented at every hook boundary, contiguously, and
+	// the last segment was charged on the wake.
 	wantSpans := [][2]uint64{{1, 3}, {3, 5}, {5, 6}, {6, 9}, {9, 10}, {10, 12}, {12, 14}}
-	if len(l.spans) != len(wantSpans) {
-		t.Fatalf("SkipTo spans = %v; want %v", l.spans, wantSpans)
+	if len(s.spans) != len(wantSpans) {
+		t.Fatalf("CatchUp spans = %v; want %v", s.spans, wantSpans)
 	}
 	for i := range wantSpans {
-		if l.spans[i] != wantSpans[i] {
-			t.Fatalf("SkipTo spans = %v; want %v", l.spans, wantSpans)
+		if s.spans[i] != wantSpans[i] {
+			t.Fatalf("CatchUp spans = %v; want %v", s.spans, wantSpans)
 		}
 	}
 }
 
 func TestLeapClampedToDeadline(t *testing.T) {
-	// NoWake with a deadline: the engine leaps straight to the deadline
-	// — never past it — and reports ErrDeadline at the exact cycle
-	// count a stepped run would have.
+	// Asleep with no timed wake and a deadline: the engine leaps
+	// straight to the deadline — never past it — reports ErrDeadline at
+	// the exact cycle count a stepped run would have, and catches the
+	// sleeper up to it.
 	e := NewEngine()
-	steps := 0
-	e.Register("t", TickFunc(func(now uint64) { steps++ }))
-	l := &scriptLeaper{wake: func(cur uint64) uint64 { return NoWake }}
-	e.SetLeaper(l)
+	s := addSleeper(e, func(uint64) uint64 { return NoWake })
 	cycles, err := e.Run(100, func() bool { return false })
 	var dl *ErrDeadline
 	if !errors.As(err, &dl) || dl.Cycles != 100 {
 		t.Fatalf("Run err = %v; want the 100-cycle deadline", err)
 	}
-	if cycles != 100 || steps != 0 {
-		t.Fatalf("cycles=%d steps=%d; want all 100 cycles leaped", cycles, steps)
+	if cycles != 100 || len(s.ticks) != 1 {
+		t.Fatalf("cycles=%d ticks=%d; want cycles 1..99 leaped", cycles, len(s.ticks))
 	}
-	if e.Leaps() != 1 || e.LeapedCycles() != 100 {
-		t.Fatalf("leaps=%d leaped=%d", e.Leaps(), e.LeapedCycles())
+	if len(s.spans) != 1 || s.spans[0] != [2]uint64{1, 100} {
+		t.Fatalf("catch-up spans %v; want [[1 100]]", s.spans)
 	}
 }
 
 func TestLeapNoWakeWithoutDeadlineFallsBackToStepping(t *testing.T) {
-	// With maxCycles 0 there is no deadline to clamp a NoWake leap to:
-	// the engine must keep stepping so done() can end the run.
+	// With maxCycles 0 there is no deadline to clamp a wake-less leap
+	// to: the engine must keep stepping so done() can end the run.
 	e := NewEngine()
-	count := 0
-	e.Register("c", TickFunc(func(now uint64) { count++ }))
-	l := &scriptLeaper{wake: func(cur uint64) uint64 { return NoWake }}
-	e.SetLeaper(l)
-	cycles, err := e.Run(0, func() bool { return count >= 5 })
-	if err != nil || cycles != 5 || count != 5 {
-		t.Fatalf("Run = %d, %v (count %d); want 5 stepped cycles", cycles, err, count)
+	s := addSleeper(e, func(uint64) uint64 { return NoWake })
+	cycles, err := e.Run(0, func() bool { return e.Now() >= 5 })
+	if err != nil || cycles != 5 {
+		t.Fatalf("Run = %d, %v; want 5 stepped cycles", cycles, err)
 	}
-	if e.Leaps() != 0 || len(l.spans) != 0 {
-		t.Fatalf("leaped %d spans with nothing to leap to", len(l.spans))
+	if len(s.ticks) != 1 || e.Ticks() != 1 {
+		t.Fatalf("ticks=%d engine=%d; want only cycle 0 ticked", len(s.ticks), e.Ticks())
 	}
 }
 
 func TestLeapVetoedKeepsStepping(t *testing.T) {
-	// NextWake <= cur is a veto: every cycle executes normally.
+	// A component that never sleeps (Sleep(now+1) is a no-op) keeps the
+	// awake set non-empty: every cycle executes normally.
 	e := NewEngine()
-	steps := 0
-	e.Register("t", TickFunc(func(now uint64) { steps++ }))
-	consulted := 0
-	l := &scriptLeaper{wake: func(cur uint64) uint64 { consulted++; return cur }}
-	e.SetLeaper(l)
+	s := addSleeper(e, func(now uint64) uint64 { return now + 1 })
 	if _, err := e.Run(6, func() bool { return false }); err == nil {
 		t.Fatal("want ErrDeadline")
 	}
-	if steps != 6 || e.Leaps() != 0 || e.LeapedCycles() != 0 {
-		t.Fatalf("steps=%d leaps=%d leaped=%d; want 6 stepped, 0 leaped", steps, e.Leaps(), e.LeapedCycles())
-	}
-	// Consulted once per cycle, before executing it.
-	if consulted != 6 {
-		t.Fatalf("leaper consulted %d times; want 6", consulted)
+	if len(s.ticks) != 6 || e.Ticks() != 6 || len(s.spans) != 0 {
+		t.Fatalf("ticks=%d engine=%d spans=%v; want 6 stepped, nothing caught up",
+			len(s.ticks), e.Ticks(), s.spans)
 	}
 }
 
@@ -310,30 +363,32 @@ func TestLeapDoneObservedAtLeapedToCycle(t *testing.T) {
 	// without an extra Step, at the same cycle count as stepped
 	// execution.
 	e := NewEngine()
-	steps := 0
-	e.Register("t", TickFunc(func(now uint64) { steps++ }))
-	l := &scriptLeaper{wake: func(cur uint64) uint64 {
-		if cur == 1 {
+	s := addSleeper(e, func(now uint64) uint64 {
+		if now == 0 {
 			return 9
 		}
-		return cur
-	}}
-	e.SetLeaper(l)
+		return 0
+	})
 	cycles, err := e.Run(50, func() bool { return e.Now() >= 9 })
 	if err != nil || cycles != 9 {
 		t.Fatalf("Run = %d, %v; want done at cycle 9", cycles, err)
 	}
-	if steps != 1 {
-		t.Fatalf("steps=%d; want only cycle 0 executed", steps)
+	if len(s.ticks) != 1 {
+		t.Fatalf("ticks=%v; want only cycle 0 executed", s.ticks)
 	}
 }
 
 func TestLeapWatchdogPolledPerExecutedCycleOnly(t *testing.T) {
-	// Watchdogs observe frozen state during a leapable window, so they
+	// Watchdogs observe frozen state during a leaped window, so they
 	// are polled after executed cycles only — and still abort the run
 	// at the first executed cycle after a leap.
 	e := NewEngine()
-	e.Register("t", TickFunc(func(now uint64) {}))
+	addSleeper(e, func(now uint64) uint64 {
+		if now == 0 {
+			return 10
+		}
+		return 0
+	})
 	var polled []uint64
 	wantErr := errors.New("stuck")
 	e.Watchdog(func(now uint64) error {
@@ -343,13 +398,6 @@ func TestLeapWatchdogPolledPerExecutedCycleOnly(t *testing.T) {
 		}
 		return nil
 	})
-	l := &scriptLeaper{wake: func(cur uint64) uint64 {
-		if cur == 1 {
-			return 10
-		}
-		return cur
-	}}
-	e.SetLeaper(l)
 	cycles, err := e.Run(50, func() bool { return false })
 	if !errors.Is(err, wantErr) || cycles != 11 {
 		t.Fatalf("Run = %d, %v; want the watchdog abort at cycle 11", cycles, err)
@@ -359,12 +407,11 @@ func TestLeapWatchdogPolledPerExecutedCycleOnly(t *testing.T) {
 	}
 }
 
-// stallComp is a self-leaping component: it stalls (bumping a counter)
-// until wakeAt, does one unit of work, then stalls again. Its Leaper
-// half compensates the stall counter for leaped spans — the same
-// contract the system-level leaper implements for CPU stalls and node
-// backoff.
+// stallComp stalls (bumping a counter) until wakeAt, does one unit of
+// work, then stalls again. It sleeps through its stalls and catches
+// the stall counter up — the same contract a stalled CPU implements.
 type stallComp struct {
+	h      Handle
 	wakeAt uint64
 	stall  uint64
 	work   int
@@ -373,59 +420,114 @@ type stallComp struct {
 func (c *stallComp) Tick(now uint64) {
 	if now < c.wakeAt {
 		c.stall++
+		c.h.Sleep(c.wakeAt)
 		return
 	}
 	c.work++
 	c.wakeAt = now + 7
 }
 
-func (c *stallComp) NextWake(cur uint64) uint64 {
-	if c.wakeAt > cur {
-		return c.wakeAt
-	}
-	return cur
-}
-
-func (c *stallComp) SkipTo(cur, target uint64) { c.stall += target - cur }
+func (c *stallComp) CatchUp(from, to uint64) { c.stall += to - from }
 
 func TestLeapEquivalentToSteppedRun(t *testing.T) {
-	// The end-to-end cadence pin: a leaped run and a stepped run of the
-	// same component must produce identical Every-hook observation
+	// The end-to-end cadence pin: a sleeping run and a stepped run of
+	// the same component must produce identical Every-hook observation
 	// sequences, identical final counters, and identical cycle counts.
-	run := func(leap bool) (snaps [][2]uint64, c *stallComp, cycles uint64) {
+	run := func(sleep bool) (snaps [][2]uint64, c *stallComp, cycles, ticks uint64) {
 		e := NewEngine()
+		if !sleep {
+			e.DisableSleep()
+		}
 		c = &stallComp{}
-		e.Register("c", c)
+		c.h = e.RegisterSleeper("c", c)
 		e.Every(10, func(now uint64) {
 			snaps = append(snaps, [2]uint64{now, c.stall})
 		})
-		if leap {
-			e.SetLeaper(c)
-		}
 		cycles, err := e.Run(0, func() bool { return c.work >= 13 })
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snaps, c, cycles
+		return snaps, c, cycles, e.Ticks()
 	}
-	sSnaps, sComp, sCycles := run(false)
-	lSnaps, lComp, lCycles := run(true)
+	sSnaps, sComp, sCycles, sTicks := run(false)
+	lSnaps, lComp, lCycles, lTicks := run(true)
 	if sCycles != lCycles {
-		t.Fatalf("cycle counts diverge: stepped %d, leaped %d", sCycles, lCycles)
+		t.Fatalf("cycle counts diverge: stepped %d, sleeping %d", sCycles, lCycles)
 	}
 	if sComp.stall != lComp.stall || sComp.work != lComp.work {
-		t.Fatalf("final state diverges: stepped %+v, leaped %+v", sComp, lComp)
+		t.Fatalf("final state diverges: stepped %+v, sleeping %+v", sComp, lComp)
 	}
 	if len(sSnaps) != len(lSnaps) {
 		t.Fatalf("snapshot counts diverge: %v vs %v", sSnaps, lSnaps)
 	}
 	for i := range sSnaps {
 		if sSnaps[i] != lSnaps[i] {
-			t.Fatalf("snapshot %d diverges: stepped %v, leaped %v", i, sSnaps[i], lSnaps[i])
+			t.Fatalf("snapshot %d diverges: stepped %v, sleeping %v", i, sSnaps[i], lSnaps[i])
 		}
 	}
-	if lComp.stall == 0 || sCycles < 80 {
-		t.Fatalf("test exercised nothing: stall=%d cycles=%d", lComp.stall, sCycles)
+	if lComp.stall == 0 || sCycles < 80 || sTicks != sCycles || lTicks >= sTicks/2 {
+		t.Fatalf("test exercised nothing: stall=%d cycles=%d ticks stepped=%d sleeping=%d",
+			lComp.stall, sCycles, sTicks, lTicks)
+	}
+}
+
+func TestWakeWheelMatchesModel(t *testing.T) {
+	// Random set/lower/remove/pop sequences against a flat model: the
+	// wheel's pop order (earliest cycle, then lowest id) must match
+	// exactly, and it never grows past the component count.
+	const n = 37
+	var w wakeWheel
+	for i := 0; i < n; i++ {
+		w.add()
+	}
+	var queued [n]bool
+	var at [n]uint64
+	rng := uint64(1)
+	next := func(k uint64) uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % k
+	}
+	for step := 0; step < 20000; step++ {
+		id := int(next(n))
+		c := next(64)
+		switch next(4) {
+		case 0:
+			w.set(id, c)
+			queued[id], at[id] = true, c
+		case 1:
+			w.lower(id, c)
+			if !queued[id] || c < at[id] {
+				queued[id], at[id] = true, c
+			}
+		case 2:
+			w.remove(id)
+			queued[id] = false
+		case 3:
+			best := -1
+			for i := range queued {
+				if queued[i] && (best < 0 || at[i] < at[best]) {
+					best = i
+				}
+			}
+			if best < 0 {
+				continue
+			}
+			if got := w.pop(); got != best {
+				t.Fatalf("step %d: pop = %d, want %d", step, got, best)
+			}
+			queued[best] = false
+		}
+		size := 0
+		for _, q := range queued {
+			if q {
+				size++
+			}
+		}
+		if len(w.heap) != size || cap(w.heap) < n {
+			t.Fatalf("step %d: wheel holds %d, model %d", step, len(w.heap), size)
+		}
 	}
 }
 

@@ -19,6 +19,9 @@ type CounterParams struct {
 // BuildCounter assembles the microbenchmark for the given layout and
 // scheduling mode.
 func BuildCounter(l mem.Layout, mode codegen.SchedMode, p CounterParams) (*Spec, error) {
+	if err := checkParams("counter", p.Threads, size{"increments", p.Incs}); err != nil {
+		return nil, err
+	}
 	b := codegen.NewBuilder(l.CodeBase)
 	rt := codegen.NewRuntime(b, l, mode, p.Threads)
 

@@ -60,6 +60,9 @@ func luReference(p LUParams) []float32 {
 
 // BuildLU assembles the kernel.
 func BuildLU(l mem.Layout, mode codegen.SchedMode, p LUParams) (*Spec, error) {
+	if err := checkParams("lu", p.Threads, size{"rows per thread", p.RowsPerThread}); err != nil {
+		return nil, err
+	}
 	n := p.N()
 	if n < 2 {
 		return nil, fmt.Errorf("workload: LU needs a matrix of at least 2x2")

@@ -64,6 +64,10 @@ func initOceanGrid(a []float32, g int) {
 
 // BuildOcean assembles the kernel.
 func BuildOcean(l mem.Layout, mode codegen.SchedMode, p OceanParams) (*Spec, error) {
+	if err := checkParams("ocean", p.Threads, size{"rows per thread", p.RowsPerThread},
+		size{"iterations", p.Iters}); err != nil {
+		return nil, err
+	}
 	g := p.Grid()
 	if g > 8191 {
 		return nil, fmt.Errorf("workload: ocean grid %d too large for 16-bit row offsets", g)

@@ -94,3 +94,57 @@ func TestWaterReferenceMovesMolecules(t *testing.T) {
 		t.Fatal("no molecule moved")
 	}
 }
+
+func TestBuildersRejectBadCounts(t *testing.T) {
+	l := mem.DefaultLayout(2)
+	cases := []struct {
+		name  string
+		build func() (*Spec, error)
+		want  string
+	}{
+		{"counter/no-threads", func() (*Spec, error) {
+			return BuildCounter(l, codegen.DS, CounterParams{Threads: 0, Incs: 10})
+		}, "at least one thread"},
+		{"counter/negative-threads", func() (*Spec, error) {
+			return BuildCounter(l, codegen.DS, CounterParams{Threads: -3, Incs: 10})
+		}, "at least one thread"},
+		{"counter/negative-incs", func() (*Spec, error) {
+			return BuildCounter(l, codegen.DS, CounterParams{Threads: 2, Incs: -1})
+		}, "increments must not be negative"},
+		{"ocean/no-threads", func() (*Spec, error) {
+			return BuildOcean(l, codegen.DS, OceanParams{Threads: 0, RowsPerThread: 2, Iters: 1})
+		}, "at least one thread"},
+		{"ocean/negative-rows", func() (*Spec, error) {
+			return BuildOcean(l, codegen.DS, OceanParams{Threads: 2, RowsPerThread: -2, Iters: 1})
+		}, "rows per thread must not be negative"},
+		{"ocean/negative-iters", func() (*Spec, error) {
+			return BuildOcean(l, codegen.DS, OceanParams{Threads: 2, RowsPerThread: 2, Iters: -1})
+		}, "iterations must not be negative"},
+		{"water/no-threads", func() (*Spec, error) {
+			return BuildWater(l, codegen.DS, WaterParams{Threads: 0, MolsPerThread: 2, Steps: 1})
+		}, "at least one thread"},
+		{"water/negative-mols", func() (*Spec, error) {
+			return BuildWater(l, codegen.DS, WaterParams{Threads: 2, MolsPerThread: -1, Steps: 1})
+		}, "molecules per thread must not be negative"},
+		{"water/negative-steps", func() (*Spec, error) {
+			return BuildWater(l, codegen.DS, WaterParams{Threads: 2, MolsPerThread: 2, Steps: -4})
+		}, "steps must not be negative"},
+		{"lu/no-threads", func() (*Spec, error) {
+			return BuildLU(l, codegen.DS, LUParams{Threads: 0, RowsPerThread: 2})
+		}, "at least one thread"},
+		{"lu/negative-rows", func() (*Spec, error) {
+			return BuildLU(l, codegen.DS, LUParams{Threads: 2, RowsPerThread: -2})
+		}, "rows per thread must not be negative"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec, err := c.build()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want one mentioning %q", err, c.want)
+			}
+			if spec != nil {
+				t.Fatal("a spec came back with the error")
+			}
+		})
+	}
+}

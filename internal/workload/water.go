@@ -86,6 +86,10 @@ func waterReference(p WaterParams) []float32 {
 // threads round-robin (i % threads) so the triangular pair loop stays
 // balanced.
 func BuildWater(l mem.Layout, mode codegen.SchedMode, p WaterParams) (*Spec, error) {
+	if err := checkParams("water", p.Threads, size{"molecules per thread", p.MolsPerThread},
+		size{"steps", p.Steps}); err != nil {
+		return nil, err
+	}
 	n := p.Mols()
 	b := codegen.NewBuilder(l.CodeBase)
 	rt := codegen.NewRuntime(b, l, mode, p.Threads)

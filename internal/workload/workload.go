@@ -23,6 +23,28 @@ type Spec struct {
 	Check func(s *mem.Space) error
 }
 
+// size is one named size parameter of a workload, for checkParams.
+type size struct {
+	name string
+	v    int
+}
+
+// checkParams rejects a thread count below one and any negative size
+// before code generation: the generator panics on zero threads, and a
+// negative count wraps to a huge unsigned loop bound in the generated
+// program, which then runs for billions of cycles.
+func checkParams(bench string, threads int, sizes ...size) error {
+	if threads < 1 {
+		return fmt.Errorf("workload: %s needs at least one thread, got %d", bench, threads)
+	}
+	for _, s := range sizes {
+		if s.v < 0 {
+			return fmt.Errorf("workload: %s %s must not be negative, got %d", bench, s.name, s.v)
+		}
+	}
+	return nil
+}
+
 // checkWord asserts one word of final memory.
 func checkWord(s *mem.Space, addr uint32, want uint32, what string) error {
 	if got := s.ReadWord(addr); got != want {
