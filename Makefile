@@ -1,8 +1,8 @@
 # Developer entry points. `make check` is the pre-commit gate: it runs
 # the tier-1 build/test pass plus formatting, vet, the repo's own
 # determinism analyzers (cmd/simlint), and the race detector over the
-# packages whose concurrency/determinism guarantees matter most (the
-# engine and the stats primitives).
+# simulator packages plus the concurrency that remains: the parallel
+# grid runner and the off-engine resource sampler.
 
 GO ?= go
 
@@ -27,11 +27,9 @@ vet:
 
 # lint runs the in-tree analyzer suite (internal/lint): wall-clock and
 # global math/rand use in simulator packages, map-iteration on sim
-# paths, non-exhaustive LineState switches, BSP phase purity
-# (compute-phase code may not inject into the NoC or write globals),
-# hot-path allocations against the committed hotalloc.allow worklist,
-# and mixed atomic/plain field access. `simlint -list` prints the
-# roster.
+# paths, non-exhaustive LineState switches, and hot-path allocations
+# against the committed hotalloc.allow worklist. `simlint -list` prints
+# the roster.
 lint:
 	$(GO) run ./cmd/simlint
 
@@ -41,15 +39,17 @@ lint:
 lint-json:
 	$(GO) run ./cmd/simlint -json -o simlint.json -annotate
 
-# race covers the packages that actually share state under the sharded
-# BSP engine (engine/pool, protocol nodes, NoC delivery counters, fault
-# layer, stats) and finishes with an end-to-end sharded mcsim run under
-# the detector. GOMAXPROCS is forced up so the pool's workers really
-# interleave even on small CI hosts.
+# race runs the detector over the simulator packages (engine, protocol
+# nodes, NoC, fault layer, stats), then over the two places goroutines
+# remain: exp.GridParallel, which runs whole simulations concurrently
+# (-jobs), and the resource sampler, which polls the process from its
+# own goroutine while a run executes. The engine itself is
+# single-threaded.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/stats/... ./internal/fault/... \
 		./internal/coherence/... ./internal/noc/...
-	GOMAXPROCS=4 $(GO) run -race ./cmd/mcsim -bench counter -cpus 4 -incs 30 -shards 4 >/dev/null
+	$(GO) test -race -run TestGridParallel ./internal/exp/
+	$(GO) test -race ./internal/obs/resource/
 
 check: fmt vet lint build test race
 

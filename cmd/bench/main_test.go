@@ -22,10 +22,10 @@ func TestRejectPositional(t *testing.T) {
 	}
 }
 
-// TestSchemaV3Dedup pins the v3 dedup: the marshaled BenchJSON must
-// not contain the old `engine` block (the run it duplicated is named
-// by engine_run instead) and must carry the schema version benchdiff
-// keys its tolerant reader off.
+// TestSchemaV3Dedup pins the v3 dedup and the v4 cut: the marshaled
+// BenchJSON must contain neither the old `engine` block (the run it
+// duplicated is named by engine_run instead) nor `shard_scaling`, and
+// must carry the schema version benchdiff keys its tolerant reader off.
 func TestSchemaV3Dedup(t *testing.T) {
 	b := BenchJSON{
 		SchemaVersion: BenchSchemaVersion,
@@ -43,13 +43,16 @@ func TestSchemaV3Dedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, dup := doc["engine"]; dup {
-		t.Error("schema v3 still emits the duplicated engine block")
+		t.Error("schema still emits the duplicated engine block")
+	}
+	if _, ok := doc["shard_scaling"]; ok {
+		t.Error("schema v4 still emits shard_scaling")
 	}
 	if doc["engine_run"] != "ocean/WTI/arch2/n16" {
 		t.Errorf("engine_run = %v", doc["engine_run"])
 	}
-	if v, _ := doc["schema_version"].(float64); int(v) != 3 {
-		t.Errorf("schema_version = %v, want 3", doc["schema_version"])
+	if v, _ := doc["schema_version"].(float64); int(v) != 4 {
+		t.Errorf("schema_version = %v, want 4", doc["schema_version"])
 	}
 }
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	mcsim [-bench ocean|water|counter] [-protocol wti|wb] [-arch 1|2]
-//	      [-cpus N] [-noc gmn|mesh] [-strict] [-v]
+//	      [-cpus N] [-noc gmn|mesh|bus] [-strict] [-v]
 //	      [-fault drop=1e-4,delay=1e-3:8,seed=42]
 //	      [-resources DUR] [-resources-csv FILE]
 //	      [-cpuprofile FILE] [-memprofile FILE] [-pprof-http ADDR]
@@ -45,6 +45,21 @@ func rejectPositional(args []string) error {
 	return nil
 }
 
+// parseNoC maps the -noc flag to an interconnect. An unknown name is an
+// error: falling back to the default would simulate a different point
+// than asked.
+func parseNoC(name string) (core.NoCKind, error) {
+	switch name {
+	case "gmn":
+		return core.GMNNet, nil
+	case "mesh":
+		return core.MeshNet, nil
+	case "bus":
+		return core.BusNet, nil
+	}
+	return 0, fmt.Errorf("unknown interconnect %q (want gmn, mesh or bus)", name)
+}
+
 func main() {
 	bench := flag.String("bench", "ocean", "workload: ocean, water, lu or counter")
 	protoFlag := flag.String("protocol", "wti", "write policy: wti, wtu, wb or moesi")
@@ -71,7 +86,6 @@ func main() {
 	incs := flag.Int("incs", 100, "counter: increments per thread")
 	lurows := flag.Int("lurows", 3, "lu: matrix rows per processor")
 	faultSpec := flag.String("fault", "", "seeded NoC fault campaign, e.g. drop=1e-4,delay=1e-3:8,seed=42 (empty = no faults)")
-	shards := flag.Int("shards", 1, "compute-phase worker goroutines for this run (sharded BSP engine; results are byte-identical for every value)")
 	nosleep := flag.Bool("nosleep", false, "tick every component every cycle instead of letting idle ones sleep (results are byte-identical either way; for timing comparisons)")
 	resInterval := flag.Duration("resources", 0, "sample host-process resources (heap, GC, RSS) every interval, e.g. 25ms (0 = off)")
 	resCSV := flag.String("resources-csv", "", "write the resource sample series as CSV (needs -resources)")
@@ -135,24 +149,14 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig(proto, arch, *cpus)
-	switch *nocFlag {
-	case "mesh":
-		cfg.NoC = core.MeshNet
-	case "bus":
-		cfg.NoC = core.BusNet
+	if cfg.NoC, err = parseNoC(*nocFlag); err != nil {
+		log.Fatal(err)
 	}
 	cfg.Mem.StrictSC = *strict
 	cfg.Mem.DirPointers = *dirPtrs
 	cfg.Mem.RowBytes = *rowBytes
 	cfg.Mem.Ways = *ways
 	cfg.Mem.CacheToCache = *c2c
-	if *shards < 1 {
-		log.Fatalf("-shards must be at least 1, got %d", *shards)
-	}
-	if *traceN > 0 && *shards > 1 {
-		log.Fatal("-trace requires -shards 1: the protocol event log is inherently serial")
-	}
-	cfg.Shards = *shards
 	cfg.DisableSleep = *nosleep
 	if *faultSpec != "" {
 		plan, err := fault.ParsePlan(*faultSpec)

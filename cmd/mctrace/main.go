@@ -19,6 +19,23 @@ import (
 	"repro/internal/trace"
 )
 
+// checkArgs refuses leftover positional arguments (every option is a
+// flag, so a stray token is almost always a misplaced flag) and
+// fractions outside [0, 1], which would silently simulate a different
+// stream than asked.
+func checkArgs(args []string, storeFrac, hotFrac float64) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected argument %q (all options are flags; see -h)", args[0])
+	}
+	if !(storeFrac >= 0 && storeFrac <= 1) {
+		return fmt.Errorf("-store must be in [0, 1], got %v", storeFrac)
+	}
+	if !(hotFrac >= 0 && hotFrac <= 1) {
+		return fmt.Errorf("-hot must be in [0, 1], got %v", hotFrac)
+	}
+	return nil
+}
+
 func main() {
 	pattern := flag.String("pattern", "uniform", "stream: uniform, hotspot, sparse, dense or rmw")
 	protoFlag := flag.String("protocol", "wti", "write policy: wti, wtu or wb")
@@ -28,6 +45,9 @@ func main() {
 	storeFrac := flag.Float64("store", 0.3, "store fraction (uniform/hotspot)")
 	hotFrac := flag.Float64("hot", 0.05, "hot-word fraction (hotspot)")
 	flag.Parse()
+	if err := checkArgs(flag.Args(), *storeFrac, *hotFrac); err != nil {
+		log.Fatal(err)
+	}
 
 	var proto coherence.Protocol
 	switch *protoFlag {

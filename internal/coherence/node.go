@@ -155,14 +155,10 @@ func (n *Node) OutQueueLen() int { return n.outQ.Len() }
 
 // Tick delivers arrived messages to the sink, drains the outbound
 // queue into the network, and sleeps when nothing is left to do before
-// a known cycle. It is RecvPhase followed by SendPhase — the serial
-// schedule; the sharded schedule calls the phases separately (receive
-// during the parallel compute phase, send during the serial commit
-// phase) and relies on the split below keeping each phase's behaviour
-// bit-identical to its half of Tick.
+// a known cycle.
 func (n *Node) Tick(now uint64) {
-	n.RecvPhase(now)
-	n.SendPhase(now)
+	n.receive(now)
+	n.send(now)
 	n.settle(now)
 }
 
@@ -194,17 +190,14 @@ func (n *Node) settle(now uint64) {
 	n.self.Sleep(until)
 }
 
-// RecvPhase delivers arrived messages to the sink. It is the node's
-// compute phase: it reads the network's per-node arrival queue and
-// writes only node/sink state (plus the network's synchronized
-// in-flight counter), so nodes of different shards may receive
-// concurrently. It never injects into the network — handlers enqueue
-// responses on the outbound port, which SendPhase drains.
+// receive delivers arrived messages to the sink. It never injects into
+// the network — handlers enqueue responses on the outbound port, which
+// send drains.
 //
-// RecvPhase runs for every node every non-quiescent cycle: hot path.
+// receive runs for every awake node every cycle: hot path.
 //
 //lint:hot
-func (n *Node) RecvPhase(now uint64) {
+func (n *Node) receive(now uint64) {
 	// The arrival check comes first: on the (common) cycles with
 	// nothing deliverable the sink is never consulted. Both sinks'
 	// Accept are pure queries, so the swapped order cannot change
@@ -229,21 +222,20 @@ func (n *Node) RecvPhase(now uint64) {
 	}
 }
 
-// SendPhase drains the outbound queue into the network, preserving
-// FIFO order (the port enforces it even when a later message has an
-// earlier not-before cycle). It is the node's commit phase: the only
-// place this node calls Inject, run serially across all nodes in
-// registration order, so the global injection sequence — and with it
-// every fault-RNG draw — matches the serial schedule exactly. The
+// send drains the outbound queue into the network, preserving FIFO
+// order (the port enforces it even when a later message has an earlier
+// not-before cycle). It is the only place this node calls Inject, and
+// nodes tick in registration order, so the global injection sequence —
+// and with it every fault-RNG draw — is fixed by that order. The
 // retransmission FSM gates the head: while a lost transfer backs off,
 // nothing from this port enters the network — head-of-line blocking is
 // what keeps the per-(src,dst) FIFO guarantee intact across
 // retransmissions.
 //
-// SendPhase runs for every node every non-quiescent cycle: hot path.
+// send runs for every awake node every cycle: hot path.
 //
 //lint:hot
-func (n *Node) SendPhase(now uint64) {
+func (n *Node) send(now uint64) {
 	for {
 		head, ok := n.outQ.Peek(now)
 		if !ok {

@@ -187,3 +187,91 @@ func TestSleepObservedMatchesStepped(t *testing.T) {
 		})
 	}
 }
+
+// steppedOrSleepingRun executes one ocean point on the stepped or the
+// sleeping schedule and returns everything observable about it: the
+// Result, the exported JSON bytes, and the one-line summary. The final
+// memory image is verified against the workload's own checker before
+// returning, so a divergence in committed state fails here even if the
+// statistics happened to agree.
+func steppedOrSleepingRun(t *testing.T, proto coherence.Protocol, cpus int, disableSleep bool, faultSpec string) (*Result, []byte, string) {
+	t.Helper()
+	spec, err := workload.BuildOcean(mem.DefaultLayout(cpus), codegen.DS,
+		workload.OceanParams{Threads: cpus, RowsPerThread: 1, Iters: 1})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	cfg := DefaultConfig(proto, mem.Arch2, cpus)
+	cfg.DisableSleep = disableSleep
+	if faultSpec != "" {
+		plan, err := fault.ParsePlan(faultSpec)
+		if err != nil {
+			t.Fatalf("fault: %v", err)
+		}
+		cfg.Fault = plan
+	}
+	sys, err := Build(cfg, spec.Image)
+	if err != nil {
+		t.Fatalf("wire: %v", err)
+	}
+	res, err := sys.Run()
+	if err != nil {
+		t.Fatalf("run (sleep=%t): %v", !disableSleep, err)
+	}
+	sys.FlushCaches()
+	if spec.Check != nil {
+		if err := spec.Check(sys.Space); err != nil {
+			t.Fatalf("memory check (sleep=%t): %v", !disableSleep, err)
+		}
+	}
+	res.Config.DisableSleep = false // a scheduling knob, absent from results
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		t.Fatalf("json: %v", err)
+	}
+	return res, buf.Bytes(), res.Summary()
+}
+
+// TestShardedMatchesSerial is the ocean equivalence grid: every
+// protocol, at 4 and 16 CPUs, clean and under a fault campaign, must
+// produce field-identical results on the stepped schedule (every
+// component ticked every cycle, as the retired sharded engine did) and
+// on the sleeping one — same Result struct, same JSON bytes, same
+// summary line. It complements TestLeapEquivalence's 2-CPU counter
+// matrix with larger machines and a real workload.
+func TestShardedMatchesSerial(t *testing.T) {
+	protos := []coherence.Protocol{coherence.WTI, coherence.WTU, coherence.WBMESI, coherence.MOESI}
+	faults := []string{"", "drop=1e-4,seed=42"}
+	for _, proto := range protos {
+		for _, cpus := range []int{4, 16} {
+			for _, fs := range faults {
+				name := fmt.Sprintf("%v/n%d/fault=%t", proto, cpus, fs != "")
+				t.Run(name, func(t *testing.T) {
+					res1, json1, sum1 := steppedOrSleepingRun(t, proto, cpus, true, fs)
+					res2, json2, sum2 := steppedOrSleepingRun(t, proto, cpus, false, fs)
+					if !reflect.DeepEqual(res1, res2) {
+						t.Errorf("Result diverged:\nstepped:  %+v\nsleeping: %+v", res1, res2)
+					}
+					if !bytes.Equal(json1, json2) {
+						t.Errorf("result JSON diverged:\nstepped:  %s\nsleeping: %s", json1, json2)
+					}
+					if sum1 != sum2 {
+						t.Errorf("summary diverged:\nstepped:  %s\nsleeping: %s", sum1, sum2)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestShardedConfigValidation pins that the scheduling knob stays out
+// of the configuration digest: Describe is identical however a run is
+// scheduled, stepped or sleeping.
+func TestShardedConfigValidation(t *testing.T) {
+	a := DefaultConfig(coherence.WTI, mem.Arch2, 4)
+	b := DefaultConfig(coherence.WTI, mem.Arch2, 4)
+	b.DisableSleep = true
+	if a.Describe() != b.Describe() {
+		t.Fatal("Describe depends on DisableSleep; the config digest must not")
+	}
+}

@@ -127,15 +127,7 @@ func Build(cfg Config, img *mem.Image) (*System, error) {
 	// order is a convention, not a correctness requirement — but it
 	// fixes when a woken component first runs (see registerSleepers),
 	// so it is kept exactly.
-	//
-	// Shards > 1 selects the two-phase sharded registration instead
-	// (see shards.go), which steps every cluster every cycle and
-	// produces byte-identical results.
-	if cfg.Shards > 1 {
-		sys.registerSharded()
-	} else {
-		sys.registerSleepers()
-	}
+	sys.registerSleepers()
 	// Liveness watchdog: under a fault plan, a port that burns through
 	// its retransmission budget aborts the run right away with a
 	// replayable diagnostic instead of limping to the cycle deadline.
@@ -256,13 +248,6 @@ func (s *System) Quiescent() bool {
 // in the paper's Figure 4), then drains in-flight traffic so the final
 // memory state is stable for checking. It returns the results.
 func (s *System) Run() (*Result, error) {
-	// Release the compute-phase workers when done (idempotent no-op on
-	// serial runs) — sweeps build thousands of Systems, and leaked pool
-	// goroutines would accumulate. Fold shard-local observability back
-	// into the attached recorder on every exit path, so even a trace of
-	// a failed run shows the compute-phase events.
-	defer s.Engine.StopPool()
-	defer s.Obs.MergeShards()
 	cycles, err := s.Engine.Run(s.Cfg.MaxCycles, s.AllHalted)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w (pcs: %v)", err, s.pcs())
@@ -278,10 +263,6 @@ func (s *System) Run() (*Result, error) {
 	if drainErr != nil {
 		return nil, fmt.Errorf("core: drain did not quiesce: %w", drainErr)
 	}
-	// Merge before collect — the result's latency report must see the
-	// shard-local histograms (the deferred merge only covers the error
-	// exits; merging twice is a no-op, the fold drains the children).
-	s.Obs.MergeShards()
 	return s.collect(cycles), nil
 }
 

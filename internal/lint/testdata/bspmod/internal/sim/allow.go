@@ -3,21 +3,22 @@ package sim
 // This file exercises the //lint:allow suppression directive and its
 // hygiene findings.
 
-var allowed int
+var allowed = map[int]int{1: 1}
 
-type suppressedShard struct{ x int }
-
-func (s *suppressedShard) Tick(cycle uint64) {
-	//lint:allow phasepurity — single-shard calibration mode; the engine never runs this sharded
-	allowed++
-	s.x++
+// Warm allocates on the hot path under a reasoned //lint:allow, which
+// suppresses the hotalloc finding.
+//
+//lint:hot
+func (r *ring) Warm() {
+	//lint:allow hotalloc — warm-up growth, bounded by the ring's capacity
+	r.slots = make([]int, 0, 8)
 }
-
-func (s *suppressedShard) Commit(cycle uint64) {}
 
 func reasonless() {
 	//lint:allow maprange
-	_ = allowed
+	for k := range allowed { // BAD: a reasonless allow suppresses nothing
+		_ = k
+	}
 }
 
 func typoed() {

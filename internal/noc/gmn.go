@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
 // GMNConfig parameterises the Generic Micro Network model.
 type GMNConfig struct {
@@ -46,12 +43,8 @@ type GMN struct {
 
 	stats     Stats
 	portFlits []uint64
-	// inFlight is the injected-but-undelivered packet count. It is
-	// atomic because under the sharded schedule nodes of different
-	// shards Deliver concurrently during the compute phase; Inject and
-	// all Quiet reads happen at serial points, so the counter's
-	// synchronization is the only one the model needs.
-	inFlight atomic.Int64
+	// inFlight is the injected-but-undelivered packet count.
+	inFlight int
 	// arrive is the OnArrival hook (nil when none is installed).
 	arrive func(node int, readyAt uint64)
 }
@@ -109,7 +102,7 @@ func (g *GMN) Inject(p Packet, now uint64) bool {
 	}
 	s.queue = append(s.queue, p)
 	g.srcBusy[p.Src>>6] |= 1 << (p.Src & 63)
-	g.inFlight.Add(1)
+	g.inFlight++
 	return true
 }
 
@@ -161,7 +154,7 @@ func (g *GMN) Tick(now uint64) {
 }
 
 // Deliverable implements Network. It runs on every endpoint's
-// compute-phase arrival check: hot path.
+// arrival check: hot path.
 //
 //lint:hot
 func (g *GMN) Deliverable(node int, now uint64) bool {
@@ -169,8 +162,8 @@ func (g *GMN) Deliverable(node int, now uint64) bool {
 	return len(d.queue) != 0 && d.queue[0].readyAt <= now
 }
 
-// Deliver implements Network. It runs on every compute-phase message
-// arrival: hot path.
+// Deliver implements Network. It runs on every message arrival: hot
+// path.
 //
 //lint:hot
 func (g *GMN) Deliver(node int, now uint64) (Packet, bool) {
@@ -181,12 +174,12 @@ func (g *GMN) Deliver(node int, now uint64) (Packet, bool) {
 	p := d.queue[0].pkt
 	copy(d.queue, d.queue[1:])
 	d.queue = d.queue[:len(d.queue)-1]
-	g.inFlight.Add(-1)
+	g.inFlight--
 	return p, true
 }
 
 // Quiet implements Network.
-func (g *GMN) Quiet() bool { return g.inFlight.Load() == 0 }
+func (g *GMN) Quiet() bool { return g.inFlight == 0 }
 
 // NextArrival implements Network.
 func (g *GMN) NextArrival(node int) (uint64, bool) {

@@ -1,9 +1,6 @@
 package noc
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // MeshConfig parameterises the 2D-mesh router network.
 type MeshConfig struct {
@@ -53,9 +50,8 @@ type Mesh struct {
 	out       [][]meshEntry // per-node delivered packets
 	st        Stats
 	portFlits []uint64
-	// live is atomic for the same reason as GMN.inFlight: concurrent
-	// compute-phase Delivers under the sharded schedule.
-	live atomic.Int64
+	// live is the injected-but-undelivered packet count.
+	live int
 	// arrive is the OnArrival hook (nil when none is installed).
 	arrive func(node int, readyAt uint64)
 }
@@ -133,7 +129,7 @@ func (m *Mesh) Inject(p Packet, now uint64) bool {
 		return false
 	}
 	r.in[portLocal] = append(r.in[portLocal], meshEntry{readyAt: now, pkt: p})
-	m.live.Add(1)
+	m.live++
 	m.st.Packets++
 	m.st.TotalBytes += uint64(p.Bytes)
 	m.portFlits[p.Src] += uint64(p.Flits())
@@ -192,7 +188,7 @@ func (m *Mesh) Tick(now uint64) {
 }
 
 // Deliverable implements Network. It runs on every endpoint's
-// compute-phase arrival check: hot path.
+// arrival check: hot path.
 //
 //lint:hot
 func (m *Mesh) Deliverable(node int, now uint64) bool {
@@ -200,8 +196,8 @@ func (m *Mesh) Deliverable(node int, now uint64) bool {
 	return len(q) != 0 && q[0].readyAt <= now
 }
 
-// Deliver implements Network. It runs on every compute-phase message
-// arrival: hot path.
+// Deliver implements Network. It runs on every message arrival: hot
+// path.
 //
 //lint:hot
 func (m *Mesh) Deliver(node int, now uint64) (Packet, bool) {
@@ -212,12 +208,12 @@ func (m *Mesh) Deliver(node int, now uint64) (Packet, bool) {
 	p := q[0].pkt
 	copy(q, q[1:])
 	m.out[node] = q[:len(q)-1]
-	m.live.Add(-1)
+	m.live--
 	return p, true
 }
 
 // Quiet implements Network.
-func (m *Mesh) Quiet() bool { return m.live.Load() == 0 }
+func (m *Mesh) Quiet() bool { return m.live == 0 }
 
 // NextArrival implements Network. The delivery queue is FIFO, so its
 // head gates every packet behind it.

@@ -25,15 +25,9 @@
 // returns, so statistics read at those points match a stepped run.
 // When nothing is awake, Run leaps in O(1) to the wheel's minimum.
 //
-// The sharded bulk-synchronous-parallel schedule (see Phased,
-// RegisterShard, SetShards) has no sleep logic: each cycle splits into
-// a compute phase, where shards of tickers run concurrently touching
-// only shard-local state, and a serial commit phase, where cross-shard
-// sends happen in registration order — the exact injection order of
-// the serial schedule — so a sharded run is byte-identical to a serial
-// one. Within one cycle the full order is: compute ticks (shard-major;
-// registration order within a shard), then commits in registration
-// order, then Every hooks, then — from Run — the watchdogs.
+// Within one cycle the order is: the ticks of the awake set in
+// registration order, then the Every hooks, then — from Run — the
+// watchdogs.
 package sim
 
 import (
@@ -71,8 +65,8 @@ const NoWake = ^uint64(0)
 
 // Handle is a registered sleeper's link to its engine. The zero Handle
 // is inert — every method is a no-op — so components work unchanged
-// outside a sleeping engine (the sharded schedule, -nosleep, unit
-// tests that drive them by hand).
+// outside a sleeping engine (-nosleep, unit tests that drive them by
+// hand).
 type Handle struct {
 	e  *Engine
 	id int32
@@ -132,20 +126,6 @@ type Engine struct {
 
 	periodics []periodic
 	watchdogs []func(now uint64) error
-
-	// Sharded schedule (see shard.go): phased[i] is non-nil when
-	// tickers[i] implements Phased; shards[i] is its shard. bsp is set
-	// by the first registration that needs the two-phase plan.
-	bsp         bool
-	phased      []Phased
-	shards      []int
-	planOK      bool
-	order       []int
-	shardStart  []int
-	commitOrder []int
-	nShards     int
-	workers     int
-	pool        *pool
 }
 
 // periodic is a sampling hook run every interval cycles, after all
@@ -170,7 +150,7 @@ func (e *Engine) Ticks() uint64 { return e.ticks }
 // Register adds an always-awake ticker to the engine. Tickers run every
 // cycle in registration order. The name is used in diagnostics only.
 func (e *Engine) Register(name string, t Ticker) {
-	e.RegisterShard(0, name, t)
+	e.add(name, t)
 }
 
 // RegisterSleeper adds a ticker that may sleep, returning the Handle it
@@ -201,16 +181,12 @@ func (e *Engine) add(name string, t Ticker) int {
 	e.asleep = append(e.asleep, false)
 	e.from = append(e.from, 0)
 	e.catchUp = append(e.catchUp, nil)
-	ph, _ := t.(Phased)
-	e.phased = append(e.phased, ph)
-	e.shards = append(e.shards, 0)
 	e.wheel.add()
 	if id>>6 >= len(e.awake) {
 		e.awake = append(e.awake, 0)
 	}
 	e.awake[id>>6] |= 1 << (id & 63)
 	e.nAwake++
-	e.planOK = false
 	return id
 }
 
@@ -321,8 +297,7 @@ func (e *Engine) Watchdog(fn func(now uint64) error) {
 
 // Step advances the simulation by exactly one cycle: wake the sleepers
 // due this cycle, tick the awake set in registration order, then run
-// the Every hooks. Engines with sharded registrations run the two-phase
-// schedule instead (every ticker, every cycle; see shard.go).
+// the Every hooks.
 //
 // Step is the per-cycle engine loop, the hot-path root everything else
 // hangs off: allocations anywhere it reaches are gated by simlint's
@@ -331,23 +306,19 @@ func (e *Engine) Watchdog(fn func(now uint64) error) {
 //lint:hot
 func (e *Engine) Step() {
 	now := e.now
-	if e.bsp {
-		e.stepBSP(now)
-	} else {
-		for {
-			at, ok := e.wheel.min()
-			if !ok || at > now {
-				break
-			}
-			e.resume(e.wheel.pop())
+	for {
+		at, ok := e.wheel.min()
+		if !ok || at > now {
+			break
 		}
-		for i := e.nextAwake(0); i >= 0; i = e.nextAwake(i + 1) {
-			e.slot = i
-			e.tickers[i].Tick(now)
-			e.ticks++
-		}
-		e.slot = -1
+		e.resume(e.wheel.pop())
 	}
+	for i := e.nextAwake(0); i >= 0; i = e.nextAwake(i + 1) {
+		e.slot = i
+		e.tickers[i].Tick(now)
+		e.ticks++
+	}
+	e.slot = -1
 	e.now++
 	e.firePeriodics()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -661,5 +662,162 @@ func TestPortOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPhasedOrdering pins the full intra-cycle order of the schedule:
+// the awake set ticks in registration order — a sleeper woken ahead of
+// its slot runs in the same cycle — then the Every hooks, then, from
+// Run, the watchdogs.
+func TestPhasedOrdering(t *testing.T) {
+	var log []string
+	note := func(s string, now uint64) { log = append(log, fmt.Sprintf("%s@%d", s, now)) }
+	e := NewEngine()
+	var b *sleeper
+	e.Register("A", TickFunc(func(now uint64) {
+		note("tick:A", now)
+		if now == 1 {
+			b.h.Wake()
+		}
+	}))
+	b = addSleeper(e, func(now uint64) uint64 { note("tick:B", now); return NoWake })
+	e.Register("C", TickFunc(func(now uint64) { note("tick:C", now) }))
+	e.Every(1, func(now uint64) { note("every", now) })
+	e.Watchdog(func(now uint64) error { note("watchdog", now); return nil })
+	if _, err := e.Run(2, func() bool { return false }); err == nil {
+		t.Fatal("Run ignored its deadline")
+	}
+	want := []string{
+		"tick:A@0", "tick:B@0", "tick:C@0", "every@1", "watchdog@1",
+		"tick:A@1", "tick:B@1", "tick:C@1", "every@2", "watchdog@2",
+	}
+	if len(log) != len(want) {
+		t.Fatalf("schedule order:\n got %v\nwant %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("schedule order:\n got %v\nwant %v", log, want)
+		}
+	}
+}
+
+// TestWatchdogAfterCommit pins the Run-loop ordering: the watchdog
+// polled after cycle t observes every tick of cycle t.
+func TestWatchdogAfterCommit(t *testing.T) {
+	e := NewEngine()
+	var last uint64
+	e.Register("c", TickFunc(func(now uint64) { last = now }))
+	var polled []uint64
+	e.Watchdog(func(now uint64) error {
+		if last != now-1 {
+			t.Fatalf("watchdog at now=%d saw the tick of cycle %d; ticks must precede watchdogs", now, last)
+		}
+		polled = append(polled, now)
+		return nil
+	})
+	cycles := 0
+	if _, err := e.Run(10, func() bool { cycles++; return cycles > 3 }); err != nil {
+		t.Fatal(err)
+	}
+	if !equalU64(polled, []uint64{1, 2, 3}) {
+		t.Fatalf("watchdog polls = %v, want [1 2 3]", polled)
+	}
+}
+
+// TestTicksSharded pins the stepped schedule: after DisableSleep every
+// registered ticker — sleepers included, whose Sleep calls become
+// no-ops — runs every cycle, and the executed tick count is tickers ×
+// cycles.
+func TestTicksSharded(t *testing.T) {
+	const cycles = 100
+	e := NewEngine()
+	e.DisableSleep()
+	ticks := 0
+	e.Register("plain", TickFunc(func(uint64) { ticks++ }))
+	s := addSleeper(e, func(uint64) uint64 { return NoWake })
+	for i := 0; i < cycles; i++ {
+		e.Step()
+	}
+	if got := e.Ticks(); got != 2*cycles {
+		t.Fatalf("Ticks = %d, want %d", got, 2*cycles)
+	}
+	if ticks != cycles || len(s.ticks) != cycles {
+		t.Fatalf("plain/sleeper ticks = %d/%d, want %d each", ticks, len(s.ticks), cycles)
+	}
+}
+
+// ringNode is a toy sleeper wired the way the real system is: it
+// consumes latched tokens from its inbox, forwards each incremented
+// token to its successor after a fixed latency, wakes the successor for
+// the token's arrival, and sleeps until its own next arrival.
+type ringNode struct {
+	h    Handle
+	in   *Port[uint64]
+	next *ringNode
+	sum  uint64
+}
+
+const ringHop = 3
+
+func (r *ringNode) Tick(now uint64) {
+	for {
+		v, ok := r.in.Recv(now)
+		if !ok {
+			break
+		}
+		r.sum += v
+		r.next.in.Send(v+1, now+ringHop)
+		r.next.h.WakeAt(now + ringHop)
+	}
+	if at, ok := r.in.NextAt(); ok {
+		r.h.Sleep(at)
+	} else {
+		r.h.Sleep(NoWake)
+	}
+}
+
+// buildRing wires n ringNodes and seeds two tokens.
+func buildRing(n int, disableSleep bool) (*Engine, []*ringNode) {
+	e := NewEngine()
+	if disableSleep {
+		e.DisableSleep()
+	}
+	nodes := make([]*ringNode, n)
+	for i := range nodes {
+		nodes[i] = &ringNode{in: NewPort[uint64](0)}
+	}
+	for i, r := range nodes {
+		r.next = nodes[(i+1)%n]
+		r.h = e.RegisterSleeper("ring", r)
+	}
+	nodes[0].in.Send(1, 0)
+	nodes[n/2].in.Send(100, 5)
+	return e, nodes
+}
+
+// TestShardedMatchesSerialEngine runs the same ring sleeping and
+// stepped: every observable (per-node sums, port depths, cycle count)
+// must match exactly, and the sleeping run must have skipped ticks.
+func TestShardedMatchesSerialEngine(t *testing.T) {
+	const n, cycles = 8, 500
+	ref, refNodes := buildRing(n, true)
+	e, nodes := buildRing(n, false)
+	if _, err := ref.Run(cycles, func() bool { return false }); err == nil {
+		t.Fatal("stepped ring ignored its deadline")
+	}
+	if _, err := e.Run(cycles, func() bool { return false }); err == nil {
+		t.Fatal("sleeping ring ignored its deadline")
+	}
+	if e.Now() != ref.Now() {
+		t.Fatalf("cycle %d, want %d", e.Now(), ref.Now())
+	}
+	for i := range nodes {
+		if nodes[i].sum != refNodes[i].sum || nodes[i].in.Len() != refNodes[i].in.Len() {
+			t.Fatalf("node %d: sum %d depth %d, want %d and %d", i,
+				nodes[i].sum, nodes[i].in.Len(), refNodes[i].sum, refNodes[i].in.Len())
+		}
+	}
+	if refNodes[0].sum == 0 || e.Ticks() >= ref.Ticks() {
+		t.Fatalf("vacuous: ring sum %d, ticks sleeping %d vs stepped %d", refNodes[0].sum, e.Ticks(), ref.Ticks())
 	}
 }

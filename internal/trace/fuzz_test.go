@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/mem"
 )
 
@@ -57,13 +58,21 @@ func (r *replayGen) Next() Op {
 	return op
 }
 
-// fuzzOutcome is everything a trace run exposes: the harness Result
-// (per-CPU trace stats included), every data cache's and bank's
-// counters, and the final value of every referenced word.
+// fuzzFaults is the fixed set of fault plans a fuzz input selects
+// from: none, lost transfers, delayed transfers — each with a fixed
+// seed, so a corpus entry replays bit for bit.
+var fuzzFaults = []string{"", "drop=1e-3,seed=11", "delay=1e-3:8,seed=23"}
+
+// fuzzOutcome is everything a trace run exposes: the run's error, the
+// harness Result (per-CPU trace stats included), every data cache's
+// and bank's counters, the injected-fault counters, and the final
+// value of every referenced word.
 type fuzzOutcome struct {
+	Err    string
 	Res    *Result
 	DCache []coherence.DCacheStats
 	Mem    []coherence.MemStats
+	Faults fault.Stats
 	Memory map[uint32]uint32
 }
 
@@ -76,10 +85,16 @@ func runFuzzPoint(t *testing.T, cfg core.Config, streams [][]Op, think int, disa
 		t.Fatal(err)
 	}
 	res, err := h.Run(5_000_000)
-	if err != nil {
-		t.Fatalf("sleep=%t: %v", !disableSleep, err)
-	}
 	out := fuzzOutcome{Res: res, Memory: make(map[uint32]uint32)}
+	if err != nil {
+		// A failed run (a liveness abort under faults) must fail the
+		// same way on both schedules; the state it stopped in is
+		// compared below like any other.
+		out.Err = err.Error()
+	}
+	if h.Sys.FNet != nil {
+		out.Faults = h.Sys.FNet.FaultStats()
+	}
 	for _, dc := range h.Sys.DCaches {
 		out.DCache = append(out.DCache, *dc.Stats())
 	}
@@ -96,20 +111,29 @@ func runFuzzPoint(t *testing.T, cfg core.Config, streams [][]Op, think int, disa
 }
 
 // FuzzProtocols drives randomized trace workloads through every
-// protocol on every interconnect and asserts that the sleeping engine
-// and the stepped one (-nosleep) agree field for field: harness
-// Result, per-CPU trace stats, cache and bank counters, and final
-// memory. The committed corpus under testdata/fuzz runs with plain
-// `go test`; `go test -fuzz FuzzProtocols ./internal/trace` explores.
+// protocol on every interconnect, clean or under one of fuzzFaults,
+// and asserts that the sleeping engine and the stepped one (-nosleep)
+// agree field for field: error, harness Result, per-CPU trace stats,
+// cache, bank and fault counters, and final memory. The committed
+// corpus under testdata/fuzz runs with plain `go test`;
+// `go test -fuzz FuzzProtocols ./internal/trace` explores.
 func FuzzProtocols(f *testing.F) {
-	f.Fuzz(func(t *testing.T, pattern, cpus uint8, ops uint16, think, storePct uint8, seed int64) {
+	f.Fuzz(func(t *testing.T, pattern, cpus uint8, ops uint16, think, storePct uint8, seed int64, faultSel uint8) {
 		n, streams := fuzzStreams(pattern, cpus, ops, storePct, seed)
+		var plan *fault.Plan
+		if spec := fuzzFaults[int(faultSel)%len(fuzzFaults)]; spec != "" {
+			var err error
+			if plan, err = fault.ParsePlan(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
 		protos := []coherence.Protocol{coherence.WTI, coherence.WTU, coherence.WBMESI, coherence.MOESI}
 		nets := []core.NoCKind{core.GMNNet, core.MeshNet, core.BusNet}
 		for _, proto := range protos {
 			for _, net := range nets {
 				cfg := core.DefaultConfig(proto, mem.Arch2, n)
 				cfg.NoC = net
+				cfg.Fault = plan
 				name := fmt.Sprintf("%v/%v", proto, net)
 				stepped := runFuzzPoint(t, cfg, streams, int(think%8), true)
 				sleeping := runFuzzPoint(t, cfg, streams, int(think%8), false)

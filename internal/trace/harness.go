@@ -92,8 +92,13 @@ type Harness struct {
 }
 
 // NewHarness builds a platform for cfg and attaches one trace CPU per
-// simulated CPU, each driving its own data cache with gen(i).
+// simulated CPU, each driving its own data cache with gen(i). think is
+// the cycles each CPU waits between completed operations and must not
+// be negative.
 func NewHarness(cfg core.Config, gen func(cpu int) Generator, ops uint64, think int) (*Harness, error) {
+	if think < 0 {
+		return nil, fmt.Errorf("trace: think time must be non-negative, got %d", think)
+	}
 	l := mem.DefaultLayout(cfg.NumCPUs)
 	b := codegen.NewBuilder(l.CodeBase)
 	b.Halt()

@@ -151,3 +151,20 @@ func TestBestWorstCaseShapes(t *testing.T) {
 		t.Fatalf("private rmw: WB traffic %d >= WTI %d", wb, wti)
 	}
 }
+
+// TestHarnessRejectsNegativeThink pins that a negative think time is an
+// error: cast to the CPU's unsigned wait it would become ~1.8e19 cycles
+// and the run would never finish.
+func TestHarnessRejectsNegativeThink(t *testing.T) {
+	l := mem.DefaultLayout(2)
+	gen := func(cpu int) Generator { return NewPrivateRMW(l.PrivateSeg(cpu), 64) }
+	for _, tc := range []struct {
+		think int
+		ok    bool
+	}{{-5, false}, {-1, false}, {0, true}, {3, true}} {
+		_, err := NewHarness(core.DefaultConfig(coherence.WTI, mem.Arch2, 2), gen, 10, tc.think)
+		if (err == nil) != tc.ok {
+			t.Errorf("think=%d: err = %v, want ok=%t", tc.think, err, tc.ok)
+		}
+	}
+}
